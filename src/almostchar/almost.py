@@ -26,7 +26,6 @@ from the emitted value alone:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -113,27 +112,14 @@ def _elapsed_ms(t0: float) -> int:
 
 
 def _weighted_trace_sum(kind, terms, br: BrSequence, config, cache_store) -> HalfLaurent:
-    """Sum of coeff * trace over (coeff, bipartition) terms, in list order.
-
-    The memo context is shared; with several workers the traces are
-    computed concurrently but combined in index order, so the result is
-    identical for every worker count.
-    """
+    """Sum of coeff * trace over (coeff, bipartition) terms, in list order,
+    with every trace drawn through one shared memo context."""
     budget = config.memo_budget if config is not None else None
     context = MNContext(br, memo_budget=budget)
-    workers = config.resolved_workers if config is not None else 1
-
-    def one(bp: BiPartition) -> HalfLaurent:
-        return mn_trace(kind, bp, br, context=context, cache_store=cache_store)
-
-    if workers > 1 and len(terms) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(one, [bp for _, bp in terms]))
-    else:
-        traces = [one(bp) for _, bp in terms]
     total = ZERO
-    for (coeff, _), tr in zip(terms, traces):
-        total = total + coeff * tr
+    for coeff, bp in terms:
+        trace = mn_trace(kind, bp, br, context=context, cache_store=cache_store)
+        total = total + coeff * trace
     return total
 
 
@@ -436,6 +422,8 @@ def involution_check(n: int, kind: str, config: Config | None = None) -> Verific
     """Squares every non-degenerate family's pairing matrix up to rank n."""
     t0 = time.monotonic()
     check_kind(kind)
+    if config is not None:
+        config.check_rank(n)
     checked = 0
     failures = []
     for r in range(n + 1):
@@ -476,6 +464,8 @@ def m2_check(n: int, kind: str, config: Config | None = None) -> VerificationRep
     """Pairing against m2 multiplicities sums to 1, family by family, up to rank n."""
     t0 = time.monotonic()
     check_kind(kind)
+    if config is not None:
+        config.check_rank(n)
     checked = 0
     failures = []
     for r in range(n + 1):

@@ -5,7 +5,8 @@ or csv / plain renderings of the same data.  Exit codes: 0 success (and
 verification passed), 1 a verification ran and did not pass, 2 invalid
 input, 3 a resource guard tripped (raise --max-rank / --memo-budget to
 proceed).  With a fixed format and --no-timing the bytes are identical
-across runs and worker counts.
+across runs.  Traces are evaluated in one thread; --workers is accepted
+and has no effect.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv", "plain"), default="json")
     common.add_argument("--max-rank", type=int, default=20, metavar="N")
     common.add_argument("--workers", type=int, default=0, metavar="W",
-                        help="0 = ALMOSTCHAR_WORKERS or machine parallelism")
+                        help="accepted and ignored: traces run in one thread")
     common.add_argument("--memo-budget", type=int, default=5_000_000, metavar="E")
     common.add_argument("--no-timing", action="store_true",
                         help="omit elapsed-time fields (for byte-stable output)")
@@ -80,7 +81,9 @@ def _parse_bipartition(text: str) -> BiPartition:
 
 def _parse_cycles(text: str) -> tuple:
     obj = _json_arg(text, "--cycles")
-    if not isinstance(obj, list) or not all(isinstance(c, int) for c in obj):
+    if not isinstance(obj, list) or any(
+        isinstance(c, bool) or not isinstance(c, int) for c in obj
+    ):
         raise ValueError("--cycles must be a JSON list of nonzero integers")
     return tuple(obj)
 
@@ -115,6 +118,7 @@ def _cmd_symbol_info(args, config, cache):
 
 
 def _cmd_family_list(args, config, cache):
+    config.check_rank(args.n)
     fams = enumerate_symbols(args.n, args.kind)
     return 0, [fam.to_json_obj() for fam in fams]
 
@@ -215,6 +219,7 @@ def _cmd_enumerate_pab(args, config, cache):
     b = args.b if args.b is not None else args.pos_b
     if a is None or b is None:
         raise ValueError("give the box as positionals `pab A B` or flags --a/--b")
+    config.check_rank(a * b)
     pairs = enumerate_P_ab(a, b, unordered=args.unordered)
     return 0, [bp.to_json_obj() for bp in pairs]
 
@@ -351,12 +356,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = Config(
-            max_rank=args.max_rank,
-            worker_count=args.workers,
-            output_format=args.format,
-            memo_budget=args.memo_budget,
-        )
+        if args.workers < 0:
+            raise ValueError("--workers must be >= 0")
+        config = Config(max_rank=args.max_rank, memo_budget=args.memo_budget)
         cache = TraceCache(args.cache_dir) if args.cache_dir else None
         code, doc = args.func(args, config, cache)
     except ResourceGuardError as e:
@@ -365,7 +367,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError) as e:
         print(f"almostchar: invalid input: {e}", file=sys.stderr)
         return 2
-    sys.stdout.write(_emit(doc, config.output_format))
+    sys.stdout.write(_emit(doc, args.format))
     return code
 
 

@@ -1,13 +1,10 @@
-"""Runtime limits and output settings shared by the library and the CLI."""
+"""Runtime limits shared by the library and the CLI."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-__all__ = ["Config", "ResourceGuardError", "default_worker_count"]
-
-WORKERS_ENV_VAR = "ALMOSTCHAR_WORKERS"
+__all__ = ["Config", "ResourceGuardError"]
 
 
 class ResourceGuardError(RuntimeError):
@@ -18,46 +15,19 @@ class ResourceGuardError(RuntimeError):
     """
 
 
-def default_worker_count() -> int:
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            count = int(env)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-        if count < 1:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {count}")
-        return count
-    return os.cpu_count() or 1
-
-
 @dataclass(frozen=True)
 class Config:
-    """Knobs for evaluation size, parallelism and emission.
-
-    worker_count = 0 means "resolve at use time" from the environment
-    override or the machine's parallelism.  Results never depend on the
-    worker count; only wall time does.
-    """
+    """Limits on evaluation size: the largest rank a call may start and
+    the number of memo entries one trace context may store."""
 
     max_rank: int = 20
-    worker_count: int = 0
-    output_format: str = "json"
     memo_budget: int = 5_000_000
 
     def __post_init__(self):
         if self.max_rank < 1:
             raise ValueError("max_rank must be >= 1")
-        if self.worker_count < 0:
-            raise ValueError("worker_count must be >= 0 (0 = auto)")
-        if self.output_format not in ("json", "csv", "plain"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
         if self.memo_budget < 1:
             raise ValueError("memo_budget must be >= 1")
-
-    @property
-    def resolved_workers(self) -> int:
-        return self.worker_count if self.worker_count >= 1 else default_worker_count()
 
     def check_rank(self, n: int) -> None:
         if n > self.max_rank:

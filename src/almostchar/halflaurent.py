@@ -22,9 +22,6 @@ __all__ = [
     "U",
     "half_power",
     "u_power",
-    "hl_arith",
-    "hl_eval_one",
-    "hl_bar",
     "hl_exact_div",
 ]
 
@@ -145,9 +142,9 @@ class HalfLaurent:
                 mono = "u"
             elif k % 2 == 0:
                 mono = f"u^{k // 2}"
+            elif abs(k) == 1:
+                mono = "u^1/2" if k == 1 else "u^-1/2"
             else:
-                mono = f"u^{k}/2" if abs(k) != 1 else ("u^1/2" if k == 1 else "u^-1/2")
-            if k % 2 != 0 and abs(k) != 1:
                 mono = f"u^{{{k}/2}}"
             if mono and c == 1:
                 coeff = ""
@@ -199,24 +196,6 @@ ZERO = HalfLaurent()
 ONE = half_power(0)
 #: U = u^(1/2) - u^(-1/2), the ubiquitous strip-component factor.
 U = HalfLaurent([(1, 1), (-1, -1)])
-
-
-def hl_arith(a: HalfLaurent, b: HalfLaurent, op: str) -> HalfLaurent:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def hl_eval_one(a: HalfLaurent) -> Fraction:
-    return a.eval_one()
-
-
-def hl_bar(a: HalfLaurent) -> HalfLaurent:
-    return a.bar()
 
 
 def hl_exact_div(num: HalfLaurent, den: HalfLaurent) -> HalfLaurent:

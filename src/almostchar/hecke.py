@@ -147,10 +147,10 @@ def l_prime(br: BrSequence) -> int:
 class MNContext:
     """Memoized chain summation for one (kind, endpoint sequence) pair.
 
-    Safe to share across threads evaluating different bipartitions: all
-    values are pure and exact, so concurrent writes of the same key are
-    idempotent.  The memo_budget is a loose cap on stored entries; going
-    past it raises ResourceGuardError instead of thrashing.
+    Share one context across the bipartitions of a sweep, evaluated one
+    after another, so that they reuse each other's partial sums.  The
+    memo_budget is a loose cap on stored entries; going past it raises
+    ResourceGuardError instead of thrashing.
     """
 
     def __init__(self, br: BrSequence, memo_budget: int | None = None):
@@ -209,7 +209,9 @@ def mn_trace(
 
     Pass a shared context when sweeping many bipartitions against the
     same element.  kind D refuses lam.alpha == lam.beta: those modules
-    split and are out of scope here.
+    split and are out of scope here.  The chain sum recurses once per
+    cycle, so more cycles than the interpreter's recursion limit allows
+    raise ResourceGuardError.
     """
     check_kind(kind)
     if br.kind != kind:
@@ -227,7 +229,13 @@ def mn_trace(
     if context is None:
         budget = config.memo_budget if config is not None else None
         context = MNContext(br, memo_budget=budget)
-    value = half_power(l_prime(br)) * context.chain_sum(lam, len(context.steps))
+    try:
+        chain = context.chain_sum(lam, len(context.steps))
+    except RecursionError:
+        raise ResourceGuardError(
+            f"{len(context.steps)} cycles exceed the interpreter's recursion limit"
+        ) from None
+    value = half_power(l_prime(br)) * chain
     if cache_store is not None:
         cache_store.put(kind, lam, br, value)
     return value

@@ -76,8 +76,11 @@ class SkewBiShape(NamedTuple):
 
 
 def partition(parts) -> Partition:
-    """Normalize an iterable into a partition tuple, dropping zeros."""
-    p = tuple(int(x) for x in parts if int(x) != 0)
+    """Normalize an iterable of integers into a partition tuple, dropping zeros."""
+    parts = tuple(parts)
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in parts):
+        raise ValueError(f"parts must be integers: {parts!r}")
+    p = tuple(x for x in parts if x != 0)
     if any(x < 0 for x in p):
         raise ValueError(f"negative part in {parts!r}")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):

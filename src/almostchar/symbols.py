@@ -80,10 +80,11 @@ def _order_rows(a: tuple, b: tuple) -> tuple:
 
 def shift_canonicalize(rawS, rawT) -> Symbol:
     """Canonical reduced representative of the shift class of (rawS, rawT)."""
-    s = tuple(sorted(set(int(x) for x in rawS)))
-    t = tuple(sorted(set(int(x) for x in rawT)))
-    if len(s) != len(set(rawS)) or len(t) != len(set(rawT)):
-        raise ValueError("rows must not contain repeated entries")
+    rawS, rawT = tuple(rawS), tuple(rawT)
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in rawS + rawT):
+        raise ValueError(f"symbol entries must be integers: {rawS!r}, {rawT!r}")
+    s = tuple(sorted(set(rawS)))
+    t = tuple(sorted(set(rawT)))
     if (s and s[0] < 0) or (t and t[0] < 0):
         raise ValueError("entries must be nonnegative")
     while s and t and s[0] == 0 and t[0] == 0:

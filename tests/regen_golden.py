@@ -28,7 +28,7 @@ def run():
     golden = HERE / "golden"
     golden.mkdir(exist_ok=True)
     for name, argv, expected_exit in BATTERY:
-        code, out = capture(argv + ["--workers", "1"])
+        code, out = capture(argv)
         if code != expected_exit:
             raise SystemExit(f"{name}: exit {code}, expected {expected_exit}")
         (golden / f"{name}.json").write_text(out)

@@ -1,6 +1,7 @@
 """Family-averaged trace sums, the rectangle route, and the verification
 reports built on top of them."""
 
+import threading
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from almostchar.almost import (
     recursion_check,
     verify_nonvanishing,
 )
+from almostchar.config import Config
 from almostchar.halflaurent import HalfLaurent, ZERO
 from almostchar.hecke import class_reps, mn_trace, br_from_cycles, valid_d_cycle_lists
 from almostchar.shapes import bipartition
@@ -149,6 +151,18 @@ def test_f_ab_examples():
     assert f_ab(2, 1, [2]) == ZERO
     assert f_ab(0, 0, []) == hl([(0, 1)])
     assert f_ab(2, 2, [-1, -3]) == hl([(3, -2)])  # square box goes through kind D
+
+
+def test_family_sums_start_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a family sum started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    lam_c, _ = special_cuspidal("B", 2)
+    cycles = (-2, -4)
+    rect = f_ab(3, 2, cycles, Config())
+    assert rect != ZERO
+    assert f_lambda("B", lam_c, cycles, Config()) == delta_const("B", 2) * rect
 
 
 def test_routes_agree():

@@ -1,9 +1,14 @@
 """End-to-end runs of the command line interface, in process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import almostchar
 from almostchar.cli import main
 
 
@@ -140,6 +145,52 @@ def test_resource_guards_exit_three(capsys):
     )
     assert code == 3
     assert "memo budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mn", "eval", "--kind", "B", "--lambda", "[[1.5],[]]", "--cycles", "[1]"],
+        ["symbol", "info", "--symbol", '{"S":[0,1.5,2],"T":[]}'],
+        ["mn", "eval", "--kind", "B", "--lambda", "[[1],[]]", "--cycles", "[true]"],
+        ["mn", "eval", "--kind", "B", "--lambda", "[[1],[]]", "--cycles", "[1]",
+         "--workers", "-1"],
+    ],
+)
+def test_malformed_input_exit_two(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "invalid input" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "m2", "--n", "40"],
+        ["enumerate", "pab", "30", "30"],
+        ["family", "list", "--kind", "B", "--n", "40"],
+        ["family", "involution-check", "--kind", "D", "--n", "40"],
+    ],
+)
+def test_rank_guard_on_every_command(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert "max_rank 20" in err
+
+
+def test_deep_recursion_exit_three():
+    cycles = json.dumps([1] * 1200)
+    env = dict(os.environ, PYTHONPATH=str(Path(almostchar.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "almostchar", "mn", "eval", "--kind", "B",
+         "--lambda", "[[1200],[]]", "--cycles", cycles, "--max-rank", "1200"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert "resource guard" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_output_formats(capsys):

@@ -12,9 +12,6 @@ from almostchar.halflaurent import (
     ZERO,
     HalfLaurent,
     half_power,
-    hl_arith,
-    hl_bar,
-    hl_eval_one,
     hl_exact_div,
     u_power,
 )
@@ -62,8 +59,8 @@ def test_bar_on_generators():
 
 @given(polys, polys)
 def test_eval_one_is_multiplicative_and_additive(x, y):
-    assert hl_eval_one(x * y) == hl_eval_one(x) * hl_eval_one(y)
-    assert hl_eval_one(x + y) == hl_eval_one(x) + hl_eval_one(y)
+    assert (x * y).eval_one() == x.eval_one() * y.eval_one()
+    assert (x + y).eval_one() == x.eval_one() + y.eval_one()
 
 
 def test_eval_one_examples():
@@ -129,15 +126,6 @@ def test_scalar_multiplication_and_pow():
         x ** -1
 
 
-def test_hl_arith_dispatch():
-    a, b = u_power(1), half_power(1)
-    assert hl_arith(a, b, "add") == a + b
-    assert hl_arith(a, b, "sub") == a - b
-    assert hl_arith(a, b, "mul") == a * b
-    with pytest.raises(ValueError):
-        hl_arith(a, b, "div")
-
-
 def test_hashable_and_usable_as_dict_key():
     table = {U: "strip factor", ONE: "unit"}
     assert table[HalfLaurent([(1, 1), (-1, -1)])] == "strip factor"
@@ -150,6 +138,18 @@ def test_str_of_nonzero_is_nonempty(x):
     assert str(ZERO) == "0"
 
 
-def test_bar_matches_helper():
-    x = u_power(2) + half_power(1, 3)
-    assert hl_bar(x) == x.bar()
+@pytest.mark.parametrize(
+    "halfexp, text",
+    [
+        (-3, "u^{-3/2}"),
+        (-2, "u^-1"),
+        (-1, "u^-1/2"),
+        (0, "1"),
+        (1, "u^1/2"),
+        (2, "u"),
+        (3, "u^{3/2}"),
+    ],
+)
+def test_str_of_monomials(halfexp, text):
+    assert str(half_power(halfexp)) == text
+    assert str(half_power(halfexp, -3)) == ("-3*" + text if halfexp else "-3")
