@@ -28,6 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .config import Config
 from .halflaurent import ZERO, HalfLaurent, hl_exact_div
@@ -38,6 +39,7 @@ from .hecke import (
     br_from_cycles,
     centralizer_order_B,
     class_reps,
+    cycles_from_br,
     mn_trace,
     valid_d_cycle_lists,
 )
@@ -50,8 +52,8 @@ from .symbols import (
     enumerate_symbols,
     family_decompose,
     family_members,
+    fourier_sign,
     m2_unipotent,
-    pairing,
     rank_defect,
     special_cuspidal,
 )
@@ -130,7 +132,7 @@ def f_lambda(
     config: Config | None = None,
     cache_store: TraceCache | None = None,
 ) -> HalfLaurent:
-    """Pairing-weighted trace sum over the defect-1/0 members of s's family."""
+    """2^(-f) times the signed trace sum over the defect-1/0 members of s's family."""
     check_kind(kind)
     br = br_from_cycles(kind, cycles)
     rank, _ = rank_defect(s)
@@ -144,8 +146,9 @@ def f_lambda(
     for member in family_members(kind, dec.Z1, dec.Z2):
         if rank_defect(member)[1] != want:
             continue
-        terms.append((pairing(s, member, kind), bipartition_from_symbol(kind, member)))
-    return _weighted_trace_sum(kind, terms, br, config, cache_store)
+        sign = fourier_sign(dec, family_decompose(member, kind))
+        terms.append((sign, bipartition_from_symbol(kind, member)))
+    return Fraction(1, 2 ** dec.f) * _weighted_trace_sum(kind, terms, br, config, cache_store)
 
 
 def f_ab(
@@ -171,7 +174,7 @@ def f_ab(
     for bp in enumerate_P_ab(a, b, unordered=(kind == "D")):
         if kind == "D" and bp.alpha == bp.beta:
             raise ValueError(f"square-box index set produced equal components {bp}")
-        terms.append((Fraction((-1) ** sum(bp.alpha)), bp))
+        terms.append(((-1) ** sum(bp.alpha), bp))
     return _weighted_trace_sum(kind, terms, br, config, cache_store)
 
 
@@ -205,9 +208,7 @@ def cuspidal_pair_sign(kind: str, d: int, bp: BiPartition) -> Fraction:
         ok = BiPartition(*max(tuple(bp), tuple(reversed(bp)))) in members
     if not ok:
         raise ValueError(f"{bp} is not in the cuspidal index set for kind {kind}, d={d}")
-    if kind == "B":
-        return Fraction((-1) ** (sum(bp.alpha) + d * (d + 1) // 2), 2 ** d)
-    return Fraction((-1) ** (sum(bp.alpha) + d * (2 * d - 1)), 2 ** (2 * d - 1))
+    return (-1) ** sum(bp.alpha) * delta_const(kind, d)
 
 
 def f_cuspidal_via_rectangles(
@@ -323,7 +324,7 @@ def recursion_check(
     t0 = time.monotonic()
     if a < 4 or b < 4:
         raise ValueError("recursion needs a, b >= 4")
-    cyc = tuple(int(c) for c in cycles)
+    cyc = cycles_from_br(br_from_cycles("B", cycles))
     if len(cyc) < 2:
         raise ValueError("need at least the two terminal strip cycles")
     want = (2 * a + 2 * b - 10, 2 * a + 2 * b - 6)
@@ -418,39 +419,34 @@ def orthogonality_check(
     return report
 
 
-def involution_check(n: int, kind: str, config: Config | None = None) -> VerificationReport:
-    """Squares every non-degenerate family's pairing matrix up to rank n."""
-    t0 = time.monotonic()
+def _family_decompositions(n: int, kind: str, config: Config | None):
+    """(rank, family, member decompositions) for every non-degenerate
+    family of rank at most n."""
     check_kind(kind)
     if config is not None:
         config.check_rank(n)
-    checked = 0
-    failures = []
     for r in range(n + 1):
         for fam in enumerate_symbols(r, kind):
-            if fam.degenerate:
-                continue
-            decs = [family_decompose(m, kind) for m in fam.members]
-            size = len(decs)
-            mat = [
-                [
-                    Fraction((-1) ** len(di.msharp & dj.msharp), 2 ** di.f)
-                    for dj in decs
-                ]
-                for di in decs
-            ]
-            for i in range(size):
-                for j in range(size):
-                    got = sum(mat[i][k] * mat[k][j] for k in range(size))
-                    if got != (1 if i == j else 0):
-                        failures.append(
-                            {"rank": r, "Z1": list(fam.Z1), "Z2": list(fam.Z2)}
-                        )
-                        break
-                else:
-                    continue
-                break
-            checked += 1
+            if not fam.degenerate:
+                yield r, fam, [family_decompose(m, kind) for m in fam.members]
+
+
+def involution_check(n: int, kind: str, config: Config | None = None) -> VerificationReport:
+    """Squares every non-degenerate family's pairing matrix 2^(-f) S up to
+    rank n, as the integer identity S^2 = 4^f I on the symmetric sign matrix S."""
+    t0 = time.monotonic()
+    checked = 0
+    failures = []
+    for r, fam, decs in _family_decompositions(n, kind, config):
+        signs = [[fourier_sign(di, dj) for dj in decs] for di in decs]
+        scale = 4 ** decs[0].f
+        if any(
+            sum(map(mul, signs[i], signs[j])) != (scale if i == j else 0)
+            for i in range(len(signs))
+            for j in range(i, len(signs))
+        ):
+            failures.append({"rank": r, "Z1": list(fam.Z1), "Z2": list(fam.Z2)})
+        checked += 1
     report = VerificationReport(
         claim="fourier-involution",
         verdict="pass" if not failures else "fail",
@@ -461,27 +457,21 @@ def involution_check(n: int, kind: str, config: Config | None = None) -> Verific
 
 
 def m2_check(n: int, kind: str, config: Config | None = None) -> VerificationReport:
-    """Pairing against m2 multiplicities sums to 1, family by family, up to rank n."""
+    """Pairing against m2 multiplicities sums to 1, family by family, up to
+    rank n: the integer sum of sign * m2 over the family equals 2^f."""
     t0 = time.monotonic()
-    check_kind(kind)
-    if config is not None:
-        config.check_rank(n)
     checked = 0
     failures = []
-    for r in range(n + 1):
-        for fam in enumerate_symbols(r, kind):
-            if fam.degenerate:
-                continue
-            for s in fam.members:
-                total = sum(
-                    pairing(s, member, kind) * m2_unipotent(member, kind)
-                    for member in fam.members
+    for r, fam, decs in _family_decompositions(n, kind, config):
+        m2 = [m2_unipotent(m, kind) for m in fam.members]
+        scale = 2 ** decs[0].f
+        for s, ds in zip(fam.members, decs):
+            total = sum(fourier_sign(ds, dm) * w for dm, w in zip(decs, m2) if w)
+            checked += 1
+            if total != scale:
+                failures.append(
+                    {"rank": r, "symbol": s.to_json_obj(), "sum": frac_str(Fraction(total, scale))}
                 )
-                checked += 1
-                if total != 1:
-                    failures.append(
-                        {"rank": r, "symbol": s.to_json_obj(), "sum": frac_str(Fraction(total))}
-                    )
     report = VerificationReport(
         claim="m2-sum",
         verdict="pass" if not failures else "fail",

@@ -3,8 +3,10 @@
 Every character value in this package lives in the ring Q[u^(1/2), u^(-1/2)].
 To avoid a fractional exponent type, exponents are stored as plain integers
 counting u^(1/2) units: exponent 2 means u, exponent -1 means u^(-1/2).
-Coefficients are exact rationals (the Fourier pairing contributes powers of
-1/2, so integers are not enough).  No floating point anywhere.
+Coefficient policy: an integral coefficient is a Python int, so Hecke traces
+(in Z[u^(1/2), u^(-1/2)]) never touch Fraction; a Fraction appears only where
+a division creates one, such as exact division or a pairing's 2^(-f).
+No floating point anywhere.
 
 The bar involution swaps u^(1/2) with -u^(-1/2); on the stored encoding it
 sends the term (k, c) to (-k, c * (-1)**k).
@@ -29,7 +31,9 @@ __all__ = [
 class HalfLaurent:
     """Immutable Laurent polynomial in u^(1/2) over Q.
 
-    Internally a dict {halfexp: Fraction} with no zero coefficients.
+    Internally a dict {halfexp: coefficient} with no zero coefficients.  The
+    constructor stores integral values as int, and int coefficients stay int
+    under the ring operations; other values are exact Fractions.
     Instances hash and compare by that dict, so memo tables and test
     assertions can treat them as plain values.
     """
@@ -38,13 +42,15 @@ class HalfLaurent:
 
     def __init__(self, terms: Mapping[int, object] | Iterable[tuple[int, object]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int | Fraction] = {}
         for k, c in items:
-            c = Fraction(c)
+            if type(c) is not int:
+                c = Fraction(c)
+                c = c.numerator if c.denominator == 1 else c
             if c == 0:
                 continue
             k = int(k)
-            s = acc.get(k, _ZERO_FRAC) + c
+            s = acc.get(k, 0) + c
             if s:
                 acc[k] = s
             else:
@@ -57,7 +63,7 @@ class HalfLaurent:
     def __add__(self, other: "HalfLaurent") -> "HalfLaurent":
         merged = dict(self._terms)
         for k, c in other._terms.items():
-            s = merged.get(k, _ZERO_FRAC) + c
+            s = merged.get(k, 0) + c
             if s:
                 merged[k] = s
             else:
@@ -74,13 +80,12 @@ class HalfLaurent:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return ZERO
-            q = Fraction(other)
-            return _from_clean({k: c * q for k, c in self._terms.items()})
-        prod: dict[int, Fraction] = {}
+            return HalfLaurent({k: c * other for k, c in self._terms.items()})
+        prod: dict[int, int | Fraction] = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
                 k = k1 + k2
-                s = prod.get(k, _ZERO_FRAC) + c1 * c2
+                s = prod.get(k, 0) + c1 * c2
                 if s:
                     prod[k] = s
                 else:
@@ -113,15 +118,15 @@ class HalfLaurent:
     # -- inspection ------------------------------------------------------
 
     @property
-    def terms(self) -> dict[int, Fraction]:
+    def terms(self) -> dict[int, int | Fraction]:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def eval_one(self) -> Fraction:
+    def eval_one(self) -> int | Fraction:
         """Substitute u^(1/2) = 1, i.e. sum the coefficients."""
-        return sum(self._terms.values(), _ZERO_FRAC)
+        return sum(self._terms.values())
 
     def bar(self) -> "HalfLaurent":
         """The involution u^(1/2) -> -u^(-1/2)."""
@@ -171,11 +176,8 @@ class HalfLaurent:
         return cls((t["halfexp"], Fraction(t["num"], t["den"])) for t in obj["terms"])
 
 
-_ZERO_FRAC = Fraction(0)
-
-
-def _from_clean(terms: dict[int, Fraction]) -> HalfLaurent:
-    # Internal fast path: terms already has exact nonzero Fractions.
+def _from_clean(terms: dict[int, int | Fraction]) -> HalfLaurent:
+    # Internal fast path: terms already has exact nonzero coefficients.
     out = HalfLaurent.__new__(HalfLaurent)
     out._terms = dict(sorted(terms.items()))
     out._hash = hash(tuple(out._terms.items()))
@@ -184,7 +186,7 @@ def _from_clean(terms: dict[int, Fraction]) -> HalfLaurent:
 
 def half_power(halfexp: int, coeff=1) -> HalfLaurent:
     """coeff * u^(halfexp/2)."""
-    return HalfLaurent([(halfexp, Fraction(coeff))])
+    return HalfLaurent([(halfexp, coeff)])
 
 
 def u_power(exp: int, coeff=1) -> HalfLaurent:
@@ -216,7 +218,7 @@ def hl_exact_div(num: HalfLaurent, den: HalfLaurent) -> HalfLaurent:
     # If den divides num exactly, the quotient's exponents all lie at or
     # above min(num) - min(den); needing anything lower proves inexactness.
     floor = min(num.terms) - min(den_terms)
-    quot: dict[int, Fraction] = {}
+    quot: dict[int, int | Fraction] = {}
     rem = num
     while not rem.is_zero():
         rt = rem.terms
@@ -224,7 +226,7 @@ def hl_exact_div(num: HalfLaurent, den: HalfLaurent) -> HalfLaurent:
         k = rlead - lead
         if k < floor:
             raise ValueError("not divisible")
-        c = rt[rlead] / lead_coeff
+        c = Fraction(rt[rlead], lead_coeff)
         quot[k] = c
         rem = rem - half_power(k, c) * den
     return HalfLaurent(quot)

@@ -43,7 +43,6 @@ from .shapes import (
     delta,
     delta_bar,
     partitions_of,
-    remove_strips,
     single_strip_removals,
 )
 from .symbols import check_kind
@@ -82,7 +81,9 @@ class BrSequence(NamedTuple):
 def br_from_cycles(kind: str, cycles) -> BrSequence:
     """Endpoint sequence of a signed cycle list, validating kind D patterns."""
     check_kind(kind)
-    cyc = tuple(int(c) for c in cycles)
+    cyc = tuple(cycles)
+    if any(isinstance(c, bool) or not isinstance(c, int) for c in cyc):
+        raise ValueError(f"cycle lengths must be integers: {list(cyc)!r}")
     if any(c == 0 for c in cyc):
         raise ValueError("cycle lengths must be nonzero")
     entries = []
@@ -327,7 +328,7 @@ def st_bitableaux(lam: BiPartition) -> int:
     """Standard bitableaux count, by peeling single boxes."""
     if lam.size == 0:
         return 1
-    return sum(st_bitableaux(inner) for inner, _ in remove_strips(lam, 1))
+    return sum(st_bitableaux(inner) for inner, _ in single_strip_removals(lam, 1))
 
 
 def identity_cycles(n: int) -> tuple:

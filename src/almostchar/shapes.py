@@ -277,10 +277,9 @@ def delta_bar(x: SkewBiShape, kind: str) -> HalfLaurent:
         left = (i, j - 1) in comp.cells
         if not above and not left:  # sharp
             out = out * content(comp.side, (i, j), kind)
-        elif above and left:  # dull
-            ct = content(comp.side, (i, j), kind).terms
-            ((k, c),) = ct.items()
-            out = out * half_power(-k, 1 / c)
+        elif above and left:  # dull: a content c * u^k with c = +-1 inverts to c * u^-k
+            ((k, c),) = content(comp.side, (i, j), kind).terms.items()
+            out = out * half_power(-k, c)
     return out
 
 

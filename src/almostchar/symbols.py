@@ -38,6 +38,7 @@ __all__ = [
     "family_decompose",
     "family_members",
     "symbol_from_label",
+    "fourier_sign",
     "pairing",
     "enumerate_symbols",
     "special_cuspidal",
@@ -221,17 +222,22 @@ def family_members(kind: str, Z1, Z2) -> tuple:
     return tuple(symbol_from_label(Z1, Z2, M) for M in _labels(kind, Z1))
 
 
+def fourier_sign(da: FamilyDecomposition, db: FamilyDecomposition) -> int:
+    """The sign (-1)^|M#a & M#b| of the pairing of two members of one family,
+    where M# is a member's label twisted by the special member's label."""
+    return (-1) ** len(da.msharp & db.msharp)
+
+
 def pairing(a: Symbol, b: Symbol, kind: str) -> Fraction:
     """Rational pairing of two symbols; zero across different families.
 
-    Within a family: 2^(-f) times a sign given by the overlap of the two
-    labels after twisting each by the special member's label.
+    Within a family: 2^(-f) times the fourier_sign of the two members.
     """
     da = family_decompose(a, kind)
     db = family_decompose(b, kind)
     if (da.Z1, da.Z2) != (db.Z1, db.Z2):
         return Fraction(0)
-    return Fraction((-1) ** len(da.msharp & db.msharp), 2 ** da.f)
+    return Fraction(fourier_sign(da, db), 2 ** da.f)
 
 
 class Family(NamedTuple):
@@ -433,4 +439,4 @@ def m2_unipotent(s: Symbol, kind: str, split: bool = True) -> int:
     if not is_special(s):
         return 0
     dec = family_decompose(s, kind)
-    return 2 ** dec.f if kind == "D" else 2 ** dec.d1
+    return 2 ** dec.d1 if kind == "B" else 2 ** (dec.d1 - 1)

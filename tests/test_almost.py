@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from almostchar import almost as almost_module
+from almostchar import symbols as symbols_module
 from almostchar.almost import (
     VerificationReport,
     cuspidal_index_set,
@@ -255,6 +257,9 @@ def test_recursion_check_preconditions():
         recursion_check(5, 4, [8])
     with pytest.raises(ValueError):
         recursion_check(5, 4, [8, 13])
+    for bad in ([1.5], [True], (-2.0, 12, 16)):
+        with pytest.raises(ValueError):
+            recursion_check(6, 5, bad)
 
 
 def test_recursion_check_inconclusive_on_zero_base():
@@ -284,11 +289,24 @@ def test_orthogonality_check_detects_corruption():
     assert report.fields["mismatches"]
 
 
-def test_involution_and_m2_checks():
+def test_involution_and_m2_checks(monkeypatch):
     assert involution_check(4, "B").passed
     assert involution_check(4, "D").passed
     assert m2_check(4, "B").passed
     assert m2_check(4, "D").passed
+
+    # a pairing exponent one too large must fail both integer checks
+    real = symbols_module.family_decompose
+
+    def bumped(s, kind):
+        dec = real(s, kind)
+        return dec._replace(f=dec.f + 1)
+
+    for module in (almost_module, symbols_module):
+        monkeypatch.setattr(module, "family_decompose", bumped)
+    for kind in ("B", "D"):
+        assert involution_check(4, kind).verdict == "fail"
+        assert m2_check(4, kind).verdict == "fail"
 
 
 def test_d_swap_diagnostic():

@@ -84,6 +84,12 @@ def test_division_failures():
     assert hl_exact_div(ZERO, U) == ZERO
 
 
+def test_division_creates_an_exact_fraction():
+    q = hl_exact_div(u_power(1), half_power(0, 2))
+    assert q.terms == {2: Fraction(1, 2)}
+    assert type(q.terms[2]) is Fraction
+
+
 def test_division_by_units():
     # every monomial is invertible in the Laurent ring
     x = u_power(2, 3) + half_power(-5, Fraction(1, 2))

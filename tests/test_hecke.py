@@ -69,6 +69,9 @@ def test_br_from_cycles_rejects():
         br_from_cycles("D", [-2, 2])
     with pytest.raises(ValueError):
         br_from_cycles("D", [2, -2])
+    for bad in ([1.5], [True], (-2.0, 12, 16)):
+        with pytest.raises(ValueError):
+            br_from_cycles("B", bad)
 
 
 @given(
@@ -235,6 +238,37 @@ def test_trace_cache_roundtrip(tmp_path):
     assert files, "cache directory stayed empty"
     second = mn_trace("B", lam, br, cache_store=cache)
     assert first == second == mn_trace("B", lam, br)
+
+
+def _signed_compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _signed_compositions(n - first):
+            yield (first,) + rest
+            yield (-first,) + rest
+
+
+def test_traces_have_int_coefficients(tmp_path):
+    # traces lie in Z[u^(1/2), u^(-1/2)]: no coefficient may be a Fraction,
+    # neither when computed nor when read back from the disk cache
+    elements = [("B", c) for n in range(1, 6) for c in _signed_compositions(n)]
+    elements += [("D", c) for n in range(1, 5) for c in valid_d_cycle_lists(n)]
+    cache = TraceCache(str(tmp_path))
+    for i, (kind, cycles) in enumerate(elements):
+        br = br_from_cycles(kind, cycles)
+        context = MNContext(br)
+        for lam in bipartitions_of(br.n):
+            if kind == "D" and lam.alpha == lam.beta:
+                continue
+            value = mn_trace(kind, lam, br, context=context)
+            assert all(type(c) is int for c in value.terms.values()), (kind, cycles, lam)
+            if i % 10 == 0:
+                cache.put(kind, lam, br, value)
+                cached = cache.get(kind, lam, br)
+                assert cached == value
+                assert all(type(c) is int for c in cached.terms.values()), (kind, cycles, lam)
 
 
 # -- certification against the seminormal matrix model -------------------------
