@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from collections import Counter
 from functools import cache
 from math import factorial
@@ -243,11 +244,19 @@ def mn_trace(
 
 
 class TraceCache:
-    """Optional on-disk store of finished traces, one JSON file per key."""
+    """Optional on-disk store of finished traces, one JSON file per key.
+
+    A directory that cannot be created raises ValueError.  An entry that
+    does not decode (truncated, corrupt, or not integer-valued) reads as a
+    miss, so the trace is recomputed and the entry rewritten.
+    """
 
     def __init__(self, directory):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        except OSError as e:  # e.g. the path names an existing file
+            raise ValueError(f"cannot use {directory} as a cache directory: {e.strerror}") from None
 
     @staticmethod
     def _key(kind: str, lam: BiPartition, br: BrSequence) -> tuple:
@@ -266,17 +275,26 @@ class TraceCache:
         path = self.directory / f"{digest}.json"
         if not path.exists():
             return None
-        doc = json.loads(path.read_text())
-        if doc.get("key") != json.loads(payload):
+        try:  # an entry that does not decode is a miss, and put overwrites it
+            doc = json.loads(path.read_text())
+            terms = doc["value"]["terms"]
+            if doc["key"] != json.loads(payload) or not all(
+                type(t[f]) is int for t in terms for f in ("halfexp", "num", "den")
+            ):
+                return None
+            return HalfLaurent.from_json_obj(doc["value"])
+        except (ValueError, KeyError, TypeError, ZeroDivisionError):
             return None
-        return HalfLaurent.from_json_obj(doc["value"])
 
     def put(self, kind: str, lam: BiPartition, br: BrSequence, value: HalfLaurent) -> None:
         payload, digest = self._key(kind, lam, br)
         doc = {"key": json.loads(payload), "value": value.to_json_obj()}
-        (self.directory / f"{digest}.json").write_text(
-            json.dumps(doc, separators=(",", ":"))
-        )
+        # written whole under a temporary name, then renamed: an interrupted
+        # run leaves no half-written entry behind
+        path = self.directory / f"{digest}.json"
+        tmp = path.with_suffix(f".{os.getpid()}.tmp")
+        tmp.write_text(json.dumps(doc, separators=(",", ":")))
+        os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,20 @@ for a skew diagram is the same as containing no 2x2 block at all.  The
 statistics delta (broken strips) and delta_bar (single strips, decorated
 with content factors at sharp and dull corners) are the building blocks of
 the character recursions in the hecke module.
+
+Both statistics are computed from the rows alone, by these rules:
+
+* row criterion: rows i and i+1 of outer/inner hold a 2x2 block exactly
+  when inner_i < outer_{i+1} - 1; without one, they are connected exactly
+  when inner_i == outer_{i+1} - 1 (they then share one column);
+* corner rule: in one border strip, the sharp corners (no cell above, none
+  to the left) are the first cell of the top row and the first cell of
+  every other row of length >= 2; the dull corners (a cell above and one to
+  the left) are the last cell of every non-top row of length >= 2.
+
+The cell-based strip_classify, skew_cells and remove_strips are kept as a
+slower, independent oracle for these closed forms; the trace engine does
+not call them.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .halflaurent import HalfLaurent, ONE, U, ZERO, half_power, u_power
+from .halflaurent import HalfLaurent, ONE, U, ZERO, _from_clean, u_power
 
 __all__ = [
     "Partition",
@@ -231,21 +245,53 @@ def strip_classify(x: SkewBiShape) -> StripInfo:
 # ---------------------------------------------------------------------------
 
 
+def _side_stats(outer: Partition, inner: Partition) -> tuple[int, int, int] | None:
+    """(m, sum of (r-1), sum of (cells - 2r + 1)) over the m components of
+    one side outer/inner, each of r rows; None if the side has a 2x2 block.
+
+    One pass over the rows by the row criterion.  A border strip of r rows
+    spans c = cells - r + 1 columns, so the last entry is the sum of
+    (c-1) - (r-1), the exponent of u^(1/2) in delta.
+    """
+    rows = joins = cells = 0
+    last = len(outer) - 1
+    for i, o in enumerate(outer):
+        left = inner[i] if i < len(inner) else 0
+        if o > left:
+            rows += 1
+            cells += o - left
+        if i < last:
+            shared = outer[i + 1] - left  # columns that rows i and i+1 share
+            if shared > 1:
+                return None
+            if shared == 1:
+                joins += 1
+    return rows - joins, joins, cells - rows - joins
+
+
+@lru_cache(maxsize=64)
+def _u_power_terms(n: int) -> tuple:
+    """The (halfexp, coeff) terms of U^n."""
+    return tuple((U ** n).terms.items())
+
+
 def delta(x: SkewBiShape) -> HalfLaurent:
     """U^(m-1) * prod over components of (u^(1/2))^(c-1) * (-u^(-1/2))^(r-1).
 
-    Zero unless the shape is a broken border strip.  m is the number of
-    connected components.
+    That is (-1)^(sum of r-1) * u^(e/2) * U^(m-1) with e the sum of
+    (c-1) - (r-1).  Zero unless the shape is a broken border strip, one on
+    the empty shape.  m is the number of connected components.
     """
-    info = strip_classify(x)
-    if not info.components:
-        return ONE
-    if not info.is_broken_border_strip:
+    a = _side_stats(x.outer.alpha, x.inner.alpha)
+    b = _side_stats(x.outer.beta, x.inner.beta)
+    if a is None or b is None:
         return ZERO
-    out = U ** (len(info.components) - 1)
-    for comp in info.components:
-        out = out * half_power(comp.cols - 1) * half_power(-(comp.rows - 1), (-1) ** (comp.rows - 1))
-    return out
+    m = a[0] + b[0]
+    if m == 0:
+        return ONE
+    sign = -1 if (a[1] + b[1]) & 1 else 1
+    e = a[2] + b[2]
+    return _from_clean({k + e: sign * c for k, c in _u_power_terms(m - 1)})
 
 
 def content(side: str, cell: tuple[int, int], kind: str) -> HalfLaurent:
@@ -262,25 +308,35 @@ def delta_bar(x: SkewBiShape, kind: str) -> HalfLaurent:
 
     Nonzero only when the whole shape is one connected border strip:
     (u^(1/2))^(c-1) * (-u^(-1/2))^(r-1) * prod over dull corners of 1/ct
-    * prod over sharp corners of ct.  A sharp corner has no cell above nor
-    to its left; a dull corner has both.
+    * prod over sharp corners of ct, a single monomial.  The corners come
+    from the corner rule; ct is the content monomial of the cell.
     """
     if kind not in ("B", "D"):
         raise ValueError(f"kind must be 'B' or 'D', got {kind!r}")
-    info = strip_classify(x)
-    if len(info.components) != 1 or not info.components[0].is_border_strip:
+    a = _side_stats(x.outer.alpha, x.inner.alpha)
+    b = _side_stats(x.outer.beta, x.inner.beta)
+    if a is None or b is None or a[0] + b[0] != 1:
         return ZERO
-    comp = info.components[0]
-    out = half_power(comp.cols - 1) * half_power(-(comp.rows - 1), (-1) ** (comp.rows - 1))
-    for (i, j) in comp.cells:
-        above = (i - 1, j) in comp.cells
-        left = (i, j - 1) in comp.cells
-        if not above and not left:  # sharp
-            out = out * content(comp.side, (i, j), kind)
-        elif above and left:  # dull: a content c * u^k with c = +-1 inverts to c * u^-k
-            ((k, c),) = content(comp.side, (i, j), kind).terms.items()
-            out = out * half_power(-k, c)
-    return out
+    if a[0]:
+        outer, inner, (_, joins, e) = x.outer.alpha, x.inner.alpha, a
+        shift, coeff = (1 if kind == "B" else 0), 1
+    else:
+        outer, inner, (_, joins, e) = x.outer.beta, x.inner.beta, b
+        shift, coeff = 0, -1
+    sign = -1 if joins & 1 else 1
+    top = True
+    for i, o in enumerate(outer):  # row i + 1, cells in columns left + 1 .. o
+        left = inner[i] if i < len(inner) else 0
+        if o == left:
+            continue
+        if top or o - left >= 2:  # sharp corner (i+1, left+1): times u^(left-i+shift)
+            e += 2 * (left - i + shift)
+            sign *= coeff
+        if not top and o - left >= 2:  # dull corner (i+1, o): over u^(o-i-1+shift)
+            e -= 2 * (o - i - 1 + shift)
+            sign *= coeff
+        top = False
+    return _from_clean({e: sign})
 
 
 # ---------------------------------------------------------------------------
@@ -335,42 +391,31 @@ def remove_strips(outer: BiPartition, m: int) -> list[tuple[BiPartition, SkewBiS
 
 
 @lru_cache(maxsize=None)
-def _no_2x2_inners(outer: Partition, removed: int) -> tuple[Partition, ...]:
-    """Sub-partitions whose skew difference has no 2x2 block.
+def _no_2x2_inners_by_size(outer: Partition) -> dict[int, tuple[Partition, ...]]:
+    """Sub-partitions whose skew difference has no 2x2 block, by |outer/inner|.
 
-    The difference outer/inner avoids 2x2 blocks iff inner_i >= outer_{i+1} - 1
-    for every row i, which cuts the search space down to the broken border
-    strips the evaluator actually needs.
+    By the row criterion that is inner_i >= outer_{i+1} - 1 for every row i,
+    which cuts the search space down to the broken border strips the
+    evaluator needs.  One walk per outer partition serves every size.
     """
-    if removed > sum(outer):
-        return ()
-
-    acc: list[Partition] = []
+    acc: dict[int, list[Partition]] = {}
     n_rows = len(outer)
-    # trailing rows may also shrink arbitrarily below the last outer row,
-    # but weak decrease caps them; handled by the same recursion with a
-    # virtual outer part of 0 after the end.
-    suffix_max = [0] * (n_rows + 1)
-    for i in range(n_rows - 1, -1, -1):
-        floor_i = max(outer[i + 1] - 1 if i + 1 < n_rows else 0, 0)
-        suffix_max[i] = suffix_max[i + 1] + (outer[i] - floor_i)
 
-    def rows(i: int, prev: int, left: int, prefix: tuple):
-        if left > suffix_max[i]:
-            return
+    def rows(i: int, prev: int, taken: int, prefix: tuple):
         if i == n_rows:
-            if left == 0:
-                acc.append(prefix)
+            acc.setdefault(taken, []).append(prefix)
             return
-        floor_i = max(outer[i + 1] - 1 if i + 1 < n_rows else 0, 0)
-        hi = min(outer[i], prev)
-        for v in range(hi, floor_i - 1, -1):
-            take = outer[i] - v
-            if take <= left:
-                rows(i + 1, v, left - take, prefix + ((v,) if v else ()))
+        floor_i = outer[i + 1] - 1 if i + 1 < n_rows else 0
+        for v in range(min(outer[i], prev), floor_i - 1, -1):
+            rows(i + 1, v, taken + outer[i] - v, prefix + ((v,) if v else ()))
 
-    rows(0, outer[0] if outer else 0, removed, ())
-    return tuple(sorted(acc))
+    rows(0, outer[0] if outer else 0, 0, ())
+    return {size: tuple(sorted(inners)) for size, inners in acc.items()}
+
+
+def _no_2x2_inners(outer: Partition, removed: int) -> tuple[Partition, ...]:
+    """Sub-partitions inner with |outer/inner| = removed and no 2x2 block."""
+    return _no_2x2_inners_by_size(outer).get(removed, ())
 
 
 def broken_strip_removals(outer: BiPartition, m: int) -> Iterator[tuple[BiPartition, SkewBiShape]]:
@@ -395,7 +440,7 @@ def _connected_strip_inners(outer: Partition, removed: int) -> tuple[Partition, 
     return tuple(
         inner
         for inner in _no_2x2_inners(outer, removed)
-        if len(_connected_components(skew_cells(outer, inner))) == 1
+        if _side_stats(outer, inner)[0] == 1
     )
 
 

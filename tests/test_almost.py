@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from almostchar import almost as almost_module
+from almostchar import shapes as shapes_module
 from almostchar import symbols as symbols_module
 from almostchar.almost import (
     VerificationReport,
@@ -165,6 +166,26 @@ def test_family_sums_start_no_thread(monkeypatch):
     rect = f_ab(3, 2, cycles, Config())
     assert rect != ZERO
     assert f_lambda("B", lam_c, cycles, Config()) == delta_const("B", 2) * rect
+
+
+def test_trace_engine_never_falls_back_to_cells(monkeypatch):
+    # the cell-based classification is the tests' oracle; the engine runs on
+    # the closed forms alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("the trace engine built a cell set")
+
+    def reports():
+        return [
+            report.to_json_obj(include_timing=False)
+            for report in (orthogonality_check(4), recursion_check(5, 4, [8, 12]))
+        ]
+
+    want = reports()
+    for name in ("strip_classify", "skew_cells", "_connected_components"):
+        monkeypatch.setattr(shapes_module, name, refuse)
+    shapes_module._no_2x2_inners_by_size.cache_clear()
+    shapes_module._connected_strip_inners.cache_clear()
+    assert reports() == want
 
 
 def test_routes_agree():

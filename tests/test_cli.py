@@ -155,6 +155,9 @@ def test_resource_guards_exit_three(capsys):
         ["mn", "eval", "--kind", "B", "--lambda", "[[1],[]]", "--cycles", "[true]"],
         ["mn", "eval", "--kind", "B", "--lambda", "[[1],[]]", "--cycles", "[1]",
          "--workers", "-1"],
+        # a cache directory that names an existing file
+        ["mn", "eval", "--kind", "B", "--lambda", "[[1,1],[]]", "--cycles", "[-2]",
+         "--cache-dir", __file__],
     ],
 )
 def test_malformed_input_exit_two(capsys, argv):
@@ -225,6 +228,20 @@ def test_cache_dir_round_trip(tmp_path, capsys):
     code, second, _ = run(capsys, argv)
     assert code == 0
     assert first == second
+
+
+def test_truncated_cache_entry_is_recomputed(tmp_path, capsys):
+    argv = ["mn", "eval", "--kind", "B", "--lambda", "[[1,1],[]]", "--cycles", "[-2]",
+            "--no-timing", "--cache-dir", str(tmp_path)]
+    code, first, _ = run(capsys, argv)
+    assert code == 0
+    (entry,) = tmp_path.iterdir()
+    whole = entry.read_bytes()
+    entry.write_bytes(whole[:20])
+    code, second, err = run(capsys, argv)
+    assert (code, second, err) == (0, first, "")
+    assert entry.read_bytes() == whole
+    assert list(tmp_path.iterdir()) == [entry]
 
 
 def test_worker_count_does_not_change_bytes(capsys):

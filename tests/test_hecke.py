@@ -240,6 +240,34 @@ def test_trace_cache_roundtrip(tmp_path):
     assert first == second == mn_trace("B", lam, br)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        '{"key":',
+        "[]",
+        '{"value":{"terms":[]}}',
+        '{"key":{"kind":"B","lambda":[[2,1],[]],"cycles":[-1,-2]}}',
+        '{"key":{"kind":"B","lambda":[[2,1],[]],"cycles":[-1,-2]},'
+        '"value":{"terms":[{"halfexp":2,"num":1.5,"den":1}]}}',
+        '{"key":{"kind":"B","lambda":[[2,1],[]],"cycles":[-1,-2]},'
+        '"value":{"terms":[{"halfexp":2,"num":1,"den":0}]}}',
+        '{"key":{"kind":"B","lambda":[[2,1],[]],"cycles":[-1,-2]},'
+        '"value":{"terms":[{"halfexp":"2","num":1,"den":1}]}}',
+    ],
+)
+def test_trace_cache_undecodable_entry_is_a_miss(tmp_path, text):
+    cache = TraceCache(str(tmp_path))
+    br = br_from_cycles("B", [-1, -2])
+    lam = bp([2, 1], [])
+    want = mn_trace("B", lam, br, cache_store=cache)
+    (entry,) = tmp_path.iterdir()
+    entry.write_text(text)
+    assert cache.get("B", lam, br) is None
+    assert mn_trace("B", lam, br, cache_store=cache) == want
+    assert cache.get("B", lam, br) == want
+
+
 def _signed_compositions(n):
     if n == 0:
         yield ()

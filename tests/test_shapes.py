@@ -1,4 +1,8 @@
-"""Strip classification, the delta statistics and removal enumeration."""
+"""Strip classification, the delta statistics and removal enumeration.
+
+The closed-form delta and delta_bar are checked against cell-based
+versions built on strip_classify, kept here as the oracle.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,9 @@ from hypothesis import strategies as st
 from almostchar.halflaurent import ONE, U, ZERO, half_power, u_power
 from almostchar.shapes import (
     BiPartition,
+    _has_2x2,
+    _no_2x2_inners,
+    _sub_partitions,
     bipartition,
     bipartitions_of,
     broken_strip_removals,
@@ -31,6 +38,52 @@ partitions_strategy = st.integers(min_value=0, max_value=8).flatmap(
 
 def bp(a, b):
     return bipartition(a, b)
+
+
+def delta_from_cells(x):
+    """The cell-based delta: U^(m-1) * prod over the m components of
+    (u^(1/2))^(c-1) * (-u^(-1/2))^(r-1), zero unless a broken border strip."""
+    info = strip_classify(x)
+    if not info.components:
+        return ONE
+    if not info.is_broken_border_strip:
+        return ZERO
+    out = U ** (len(info.components) - 1)
+    for comp in info.components:
+        out = out * half_power(comp.cols - 1) * half_power(-(comp.rows - 1), (-1) ** (comp.rows - 1))
+    return out
+
+
+def delta_bar_from_cells(x, kind):
+    """The cell-based delta_bar: on one border strip, the delta factor times
+    the content of every sharp corner (no cell above nor to the left) and
+    the inverse content of every dull corner (cells above and to the left)."""
+    info = strip_classify(x)
+    if len(info.components) != 1 or not info.components[0].is_border_strip:
+        return ZERO
+    comp = info.components[0]
+    out = half_power(comp.cols - 1) * half_power(-(comp.rows - 1), (-1) ** (comp.rows - 1))
+    for (i, j) in comp.cells:
+        above = (i - 1, j) in comp.cells
+        left = (i, j - 1) in comp.cells
+        if not above and not left:  # sharp
+            out = out * content(comp.side, (i, j), kind)
+        elif above and left:  # dull: a content c * u^k with c = +-1 inverts to c * u^-k
+            ((k, c),) = content(comp.side, (i, j), kind).terms.items()
+            out = out * half_power(-k, c)
+    return out
+
+
+@st.composite
+def skew_bipartitions(draw):
+    """A skew bipartition; half the draws are broken border strips, so that
+    nonzero values are well represented."""
+    outer = BiPartition(draw(partitions_strategy), draw(partitions_strategy))
+    m = draw(st.integers(0, outer.size))
+    strips = [shape for _, shape in broken_strip_removals(outer, m)]
+    if strips and draw(st.booleans()):
+        return draw(st.sampled_from(strips))
+    return draw(st.sampled_from([shape for _, shape in remove_strips(outer, m)]))
 
 
 def test_partition_normalization():
@@ -98,6 +151,39 @@ def test_delta_bar_examples():
     assert delta_bar(skew(bp((1,), ()), bp((), ())), "D") == ONE
     with pytest.raises(ValueError):
         delta_bar(skew(bp((1,), ()), bp((), ())), "A")
+
+
+@settings(max_examples=300)
+@given(skew_bipartitions())
+def test_closed_forms_match_cells(shape):
+    assert delta(shape) == delta_from_cells(shape)
+    for kind in ("B", "D"):
+        assert delta_bar(shape, kind) == delta_bar_from_cells(shape, kind)
+
+
+def test_closed_forms_match_cells_up_to_rank_7():
+    seen = 0
+    for n in range(8):
+        for outer in bipartitions_of(n):
+            for m in range(n + 1):
+                for _, shape in remove_strips(outer, m):
+                    assert delta(shape) == delta_from_cells(shape), shape
+                    for kind in ("B", "D"):
+                        assert delta_bar(shape, kind) == delta_bar_from_cells(shape, kind), (
+                            shape, kind)
+                    seen += 1
+    assert seen == 4006
+
+
+def test_no_2x2_inners_match_filtered_sub_partitions():
+    for n in range(13):
+        for outer in partitions_of(n):
+            for r in range(n + 2):
+                want = tuple(
+                    p for p in _sub_partitions(outer, r)
+                    if not _has_2x2(frozenset(skew_cells(outer, p)))
+                )
+                assert _no_2x2_inners(outer, r) == want, (outer, r)
 
 
 def test_content_conventions():
