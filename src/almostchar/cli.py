@@ -32,6 +32,7 @@ from .symbols import (
     pairing,
     rank_defect,
     shift_canonicalize,
+    symbol_from_label,
 )
 
 __all__ = ["main"]
@@ -134,6 +135,7 @@ def _family_key(args):
 
 def _cmd_family_pairing_matrix(args, config, cache):
     z1, z2 = _family_key(args)
+    config.check_rank(rank_defect(symbol_from_label(z1, z2, ()))[0])
     members = family_members(args.kind, z1, z2)
     matrix = [
         [almost.frac_str(pairing(a, b, args.kind)) for b in members]

@@ -148,16 +148,20 @@ def bipartitions_of(n: int) -> Iterator[BiPartition]:
 def partitions_in_box(rows: int, cols: int) -> tuple[Partition, ...]:
     """All partitions with at most `rows` parts, each at most `cols`.
 
-    Ordered by (size, lexicographic), which fixes the enumeration order of
-    the rectangle sets downstream.
+    Ordered by (size, lexicographic).  The one user downstream is
+    `symbols.enumerate_P_ab`, which walks this box to build the rectangle
+    pairs P(a, b).  Filled row by row under the previous part, so only
+    partitions that fit are ever built.
     """
-    acc: list[Partition] = []
-    for n in range(rows * cols + 1):
-        for p in partitions_of(n, cols):
-            if len(p) <= rows:
-                acc.append(p)
-    acc.sort(key=lambda p: (sum(p), p))
-    return tuple(acc)
+
+    def fill(rows_left: int, bound: int) -> Iterator[Partition]:
+        yield ()
+        if rows_left:
+            for first in range(1, bound + 1):
+                for rest in fill(rows_left - 1, first):
+                    yield (first,) + rest
+
+    return tuple(sorted(fill(rows, cols), key=lambda p: (sum(p), p)))
 
 
 # ---------------------------------------------------------------------------

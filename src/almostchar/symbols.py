@@ -17,6 +17,12 @@ constraint, and the rational pairing between two members is read off
 from their labels relative to the distinguished label M0 of the unique
 special member.  The resulting matrix is an exact involution, which the
 test suite checks rank by rank.
+
+Every non-degenerate family has exactly one special member, and that
+member has defect 1 (kind B) or 0 (kind D), so it is the symbol of a
+bipartition (Lusztig, *Characters of Reductive Groups over a Finite
+Field*, 1984, ch. 4).  The families of a rank are therefore read off
+the special symbols among the bipartitions of that rank.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .shapes import BiPartition, conjugate, partition, partitions_of
+from .shapes import BiPartition, bipartitions_of, conjugate, partition, partitions_in_box
 
 __all__ = [
     "Symbol",
@@ -141,10 +147,7 @@ class FamilyDecomposition(NamedTuple):
     M0: tuple  # label of the special member
     d1: int
     f: int  # exponent: pairings live in 2^(-f) * {+-1}
-
-    @property
-    def msharp(self) -> frozenset:
-        return frozenset(self.M) ^ frozenset(self.M0)
+    msharp: frozenset  # M twisted by M0: the symmetric difference M ^ M0
 
 
 def _canonical_label(kind: str, Z1: tuple, raw: frozenset, d1: int) -> tuple:
@@ -185,7 +188,9 @@ def family_decompose(s: Symbol, kind: str) -> FamilyDecomposition:
         f = d1 - 1
     M = _canonical_label(kind, Z1, ts & set(Z1), d1)
     M0 = Z1[1::2]  # every second single, smallest omitted
-    return FamilyDecomposition(kind=kind, Z1=Z1, Z2=Z2, M=M, M0=M0, d1=d1, f=f)
+    return FamilyDecomposition(
+        kind=kind, Z1=Z1, Z2=Z2, M=M, M0=M0, d1=d1, f=f, msharp=frozenset(M) ^ frozenset(M0)
+    )
 
 
 def symbol_from_label(Z1, Z2, M) -> Symbol:
@@ -268,73 +273,30 @@ def _staircase(parts_ascending: tuple, length: int) -> tuple:
     return tuple(p + i for i, p in enumerate(padded))
 
 
-def _defect_symbols(n: int, d: int) -> Iterator[Symbol]:
-    """Canonical symbols of rank n and defect d, with repeats for d = 0."""
-    for t in range(n + 1):
-        s = t + d
-        if s == 0:
-            if n == 0:
-                yield Symbol((), ())
-            continue
-        base = s * (s - 1) // 2 + t * (t - 1) // 2 - (s + t - 1) ** 2 // 4
-        budget = n - base
-        if budget < 0:
-            continue
-        for k in range(budget + 1):
-            lams = [p for p in partitions_of(k) if len(p) <= s]
-            mus = [p for p in partitions_of(budget - k) if len(p) <= t]
-            for lam in lams:
-                rs = _staircase(tuple(reversed(lam)), s)
-                for mu in mus:
-                    rt = _staircase(tuple(reversed(mu)), t)
-                    if rs and rt and rs[0] == 0 and rt[0] == 0:
-                        continue  # not reduced; counted in a smaller size
-                    yield Symbol(*_order_rows(rs, rt))
-
-
 def enumerate_symbols(n: int, kind: str) -> tuple:
     """All families at rank n, each carrying its full member list.
 
-    Kind B runs over odd defects, kind D over defect 0 and multiples of 4;
-    the defect loop stops once the minimal rank of that defect exceeds n.
-    Degenerate kind D symbols come back as flagged singleton families.
+    Each non-degenerate family is read off its one special member, which
+    is the defect-1 (kind B) or defect-0 (kind D) symbol of a bipartition
+    of n.  Kind D takes each unordered pair {alpha, beta} once; alpha =
+    beta gives a degenerate symbol, which comes back as a flagged
+    singleton family.  Families are sorted by (Z1, Z2).
     """
     check_kind(kind)
     if n < 0:
         raise ValueError("rank must be nonnegative")
-    seen = set()
-    if kind == "B":
-        defects = []
-        d = 1
-        while (d * d - 1) // 4 <= n:
-            defects.append(d)
-            d += 2
-    else:
-        defects = [0]
-        d = 4
-        while d * d // 4 <= n:
-            defects.append(d)
-            d += 4
-    for d in defects:
-        seen.update(_defect_symbols(n, d))
-
-    degenerate = sorted(s for s in seen if kind == "D" and is_degenerate(s))
-    keys = sorted(
-        {
-            (dec.Z1, dec.Z2)
-            for s in seen
-            if not (kind == "D" and is_degenerate(s))
-            for dec in (family_decompose(s, kind),)
-        }
-    )
-    families = [
-        Family(kind=kind, Z1=z1, Z2=z2, degenerate=False, members=family_members(kind, z1, z2))
-        for (z1, z2) in keys
-    ]
-    families.extend(
-        Family(kind=kind, Z1=(), Z2=s.rowS, degenerate=True, members=(s,))
-        for s in degenerate
-    )
+    families = []
+    for bp in bipartitions_of(n):
+        if kind == "D" and bp.alpha < bp.beta:
+            continue
+        s = symbol_from_bipartition(kind, bp)
+        if kind == "D" and bp.alpha == bp.beta:
+            families.append(Family(kind=kind, Z1=(), Z2=s.rowS, degenerate=True, members=(s,)))
+        elif is_special(s):
+            z1, z2 = family_decompose(s, kind)[1:3]
+            families.append(
+                Family(kind=kind, Z1=z1, Z2=z2, degenerate=False, members=family_members(kind, z1, z2))
+            )
     families.sort(key=lambda fam: (fam.Z1, fam.Z2))
     return tuple(families)
 
@@ -406,20 +368,18 @@ def enumerate_P_ab(a: int, b: int, unordered: bool = False) -> list:
         raise ValueError("box dimensions must be nonnegative")
     out = []
     seen = set()
-    for k in range(a * b + 1):
-        for alpha in partitions_of(k, max_part=b):
-            if len(alpha) > a:
+    # size ascending, then reverse-lexicographic within a size
+    for alpha in sorted(partitions_in_box(a, b), key=lambda p: (-sum(p), p), reverse=True):
+        padded = alpha + (0,) * (a - len(alpha))
+        beta = conjugate(tuple(b - x for x in reversed(padded)))
+        pair = BiPartition(alpha, beta)
+        if unordered:
+            key = frozenset((pair.alpha, pair.beta))
+            if key in seen:
                 continue
-            padded = alpha + (0,) * (a - len(alpha))
-            beta = conjugate(tuple(b - x for x in reversed(padded)))
-            pair = BiPartition(alpha, beta)
-            if unordered:
-                key = frozenset((pair.alpha, pair.beta))
-                if key in seen:
-                    continue
-                seen.add(key)
-                pair = BiPartition(*max(pair, tuple(reversed(pair))))
-            out.append(pair)
+            seen.add(key)
+            pair = BiPartition(*max(pair, tuple(reversed(pair))))
+        out.append(pair)
     return out
 
 

@@ -40,6 +40,16 @@ BATTERY = [
     ("d-swap-n3", ["diagnose", "d-swap", "--n", "3", "--no-timing"], 0),
     ("orthogonality-n2", ["verify", "orthogonality", "--n", "2", "--no-timing"], 0),
     (
+        "family-list-d6",
+        ["family", "list", "--kind", "D", "--n", "6", "--no-timing"],
+        0,
+    ),
+    (
+        "involution-b8",
+        ["family", "involution-check", "--kind", "B", "--n", "8", "--no-timing"],
+        0,
+    ),
+    (
         "symbol-info",
         ["symbol", "info", "--S", "0,1,2", "--T", "", "--kind", "B", "--no-timing"],
         0,

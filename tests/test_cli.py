@@ -174,6 +174,8 @@ def test_malformed_input_exit_two(capsys, argv):
         ["enumerate", "pab", "30", "30"],
         ["family", "list", "--kind", "B", "--n", "40"],
         ["family", "involution-check", "--kind", "D", "--n", "40"],
+        # Z1 = 0..18 names a rank-90 family
+        ["family", "pairing-matrix", "--kind", "B", "--Z1", ",".join(map(str, range(19)))],
     ],
 )
 def test_rank_guard_on_every_command(capsys, argv):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from almostchar.shapes import bipartition, bipartitions_of
+from almostchar.shapes import bipartition, bipartitions_of, partitions_of
 from almostchar.symbols import (
+    Family,
     Symbol,
     bipartition_from_symbol,
     enumerate_P_ab,
@@ -193,6 +194,90 @@ def test_enumerate_symbols_defect1_matches_bipartitions():
             if rank_defect(m)[1] == 1
         )
         assert count == sum(1 for _ in bipartitions_of(n))
+
+
+def _staircase(parts_ascending, length):
+    padded = (0,) * (length - len(parts_ascending)) + parts_ascending
+    return tuple(p + i for i, p in enumerate(padded))
+
+
+def _defect_symbols(n, d):
+    """Canonical symbols of rank n and defect d, with repeats for d = 0."""
+    for t in range(n + 1):
+        s = t + d
+        if s == 0:
+            if n == 0:
+                yield Symbol((), ())
+            continue
+        base = s * (s - 1) // 2 + t * (t - 1) // 2 - (s + t - 1) ** 2 // 4
+        budget = n - base
+        if budget < 0:
+            continue
+        for k in range(budget + 1):
+            lams = [p for p in partitions_of(k) if len(p) <= s]
+            mus = [p for p in partitions_of(budget - k) if len(p) <= t]
+            for lam in lams:
+                rs = _staircase(tuple(reversed(lam)), s)
+                for mu in mus:
+                    rt = _staircase(tuple(reversed(mu)), t)
+                    if rs and rt and rs[0] == 0 and rt[0] == 0:
+                        continue  # not reduced; counted in a smaller size
+                    yield shift_canonicalize(rs, rt)
+
+
+def enumerate_symbols_from_partitions(n, kind):
+    """Oracle: build every symbol of every defect allowed at rank n from
+    partitions, then collapse them into families."""
+    seen = set()
+    if kind == "B":
+        defects = []
+        d = 1
+        while (d * d - 1) // 4 <= n:
+            defects.append(d)
+            d += 2
+    else:
+        defects = [0]
+        d = 4
+        while d * d // 4 <= n:
+            defects.append(d)
+            d += 4
+    for d in defects:
+        seen.update(_defect_symbols(n, d))
+    degenerate = sorted(s for s in seen if kind == "D" and is_degenerate(s))
+    keys = sorted(
+        {
+            family_decompose(s, kind)[1:3]
+            for s in seen
+            if not (kind == "D" and is_degenerate(s))
+        }
+    )
+    families = [
+        Family(kind=kind, Z1=z1, Z2=z2, degenerate=False, members=family_members(kind, z1, z2))
+        for (z1, z2) in keys
+    ]
+    families.extend(
+        Family(kind=kind, Z1=(), Z2=s.rowS, degenerate=True, members=(s,)) for s in degenerate
+    )
+    families.sort(key=lambda fam: (fam.Z1, fam.Z2))
+    return tuple(families)
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_enumerate_symbols_matches_partition_oracle(kind):
+    for n in range(13):
+        assert enumerate_symbols(n, kind) == enumerate_symbols_from_partitions(n, kind), n
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_each_family_has_one_special_member(kind):
+    # enumerate_symbols reads each family off this member
+    for n in range(11):
+        for fam in enumerate_symbols_from_partitions(n, kind):
+            if fam.degenerate:
+                continue
+            special = [m for m in fam.members if is_special(m)]
+            assert len(special) == 1, (kind, n, fam.Z1, fam.Z2)
+            assert rank_defect(special[0])[1] == (1 if kind == "B" else 0)
 
 
 def test_degenerate_d_families_are_flagged_singletons():
