@@ -26,9 +26,9 @@ from the emitted value alone:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .config import Config
 from .halflaurent import ZERO, HalfLaurent, hl_exact_div
@@ -81,11 +81,10 @@ def frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     claim: str
     verdict: str  # pass | fail | inconclusive
-    fields: dict = field(default_factory=dict)
+    fields: dict
     notes: tuple = ()
     ms: int = 0
 
@@ -291,7 +290,7 @@ def verify_nonvanishing(
     cycles = prop_cycles(kind, d)
     cuspidal, _ = special_cuspidal(kind, d)
     value = f_lambda(kind, cuspidal, cycles, config, cache_store)
-    report = VerificationReport(
+    return VerificationReport(
         claim="prop-7.13" if kind == "B" else "prop-7.14",
         verdict="pass" if not value.is_zero() else "fail",
         fields={
@@ -302,9 +301,8 @@ def verify_nonvanishing(
             "value_at_1": frac_str(value.eval_one()),
         },
         notes=(_D_TERMINAL_NOTE,) if kind == "D" else (),
+        ms=_elapsed_ms(t0),
     )
-    report.ms = _elapsed_ms(t0)
-    return report
 
 
 def recursion_check(
@@ -360,9 +358,7 @@ def recursion_check(
             fields["h"] = h.to_json_obj()
             fields["h_at_1"] = frac_str(h.eval_one())
             verdict = "pass" if (not h.is_zero() and h.eval_one() == 0) else "fail"
-    report = VerificationReport(claim="lemma-7.12", verdict=verdict, fields=fields, notes=notes)
-    report.ms = _elapsed_ms(t0)
-    return report
+    return VerificationReport("lemma-7.12", verdict, fields, notes, ms=_elapsed_ms(t0))
 
 
 def orthogonality_check(
@@ -405,7 +401,7 @@ def orthogonality_check(
                         "expected": str(expect),
                     }
                 )
-    report = VerificationReport(
+    return VerificationReport(
         claim="mn-orthogonality",
         verdict="pass" if not mismatches else "fail",
         fields={
@@ -414,15 +410,16 @@ def orthogonality_check(
             "classes": len(reps),
             "mismatches": mismatches,
         },
+        ms=_elapsed_ms(t0),
     )
-    report.ms = _elapsed_ms(t0)
-    return report
 
 
 def _family_decompositions(n: int, kind: str, config: Config | None):
     """(rank, family, member decompositions) for every non-degenerate
     family of rank at most n."""
     check_kind(kind)
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
     if config is not None:
         config.check_rank(n)
     for r in range(n + 1):
@@ -447,13 +444,12 @@ def involution_check(n: int, kind: str, config: Config | None = None) -> Verific
         ):
             failures.append({"rank": r, "Z1": list(fam.Z1), "Z2": list(fam.Z2)})
         checked += 1
-    report = VerificationReport(
+    return VerificationReport(
         claim="fourier-involution",
         verdict="pass" if not failures else "fail",
         fields={"kind": kind, "n": n, "families": checked, "failures": failures},
+        ms=_elapsed_ms(t0),
     )
-    report.ms = _elapsed_ms(t0)
-    return report
 
 
 def m2_check(n: int, kind: str, config: Config | None = None) -> VerificationReport:
@@ -472,13 +468,12 @@ def m2_check(n: int, kind: str, config: Config | None = None) -> VerificationRep
                 failures.append(
                     {"rank": r, "symbol": s.to_json_obj(), "sum": frac_str(Fraction(total, scale))}
                 )
-    report = VerificationReport(
+    return VerificationReport(
         claim="m2-sum",
         verdict="pass" if not failures else "fail",
         fields={"kind": kind, "n": n, "symbols": checked, "failures": failures},
+        ms=_elapsed_ms(t0),
     )
-    report.ms = _elapsed_ms(t0)
-    return report
 
 
 def d_swap_diagnostic(n: int, config: Config | None = None) -> VerificationReport:
@@ -486,6 +481,8 @@ def d_swap_diagnostic(n: int, config: Config | None = None) -> VerificationRepor
     bipartition over every admissible cycle list of total n.  Reports
     asymmetries without treating them as failures."""
     t0 = time.monotonic()
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
     if config is not None:
         config.check_rank(n)
     asymmetries = []
@@ -513,11 +510,10 @@ def d_swap_diagnostic(n: int, config: Config | None = None) -> VerificationRepor
     notes = ()
     if asymmetries:
         notes = ("component order changes some kind D traces; see asymmetries",)
-    report = VerificationReport(
+    return VerificationReport(
         claim="d-swap-diagnostic",
         verdict="pass",
         fields={"kind": "D", "n": n, "pairs": pairs, "asymmetries": asymmetries},
         notes=notes,
+        ms=_elapsed_ms(t0),
     )
-    report.ms = _elapsed_ms(t0)
-    return report

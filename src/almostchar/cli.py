@@ -6,14 +6,13 @@ verification passed), 1 a verification ran and did not pass, 2 invalid
 input, 3 a resource guard tripped (raise --max-rank / --memo-budget to
 proceed).  With a fixed format and --no-timing the bytes are identical
 across runs.  Traces are evaluated in one thread; --workers is accepted
-and has no effect.
+and has no effect.  hashlib is imported only with --cache-dir, and csv
+only with --format csv.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -217,6 +216,8 @@ def _cmd_verify_m2(args, config, cache):
 
 
 def _cmd_enumerate_pab(args, config, cache):
+    if None not in (args.a, args.pos_a) or None not in (args.b, args.pos_b):
+        raise ValueError("give each box side once, as a positional or as a flag")
     a = args.a if args.a is not None else args.pos_a
     b = args.b if args.b is not None else args.pos_b
     if a is None or b is None:
@@ -249,6 +250,8 @@ def _emit(doc, fmt: str) -> str:
     else:
         rows = [["value"], [_compact(doc)]]
     if fmt == "csv":
+        import csv  # loaded only for --format csv
+        import io
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
         return buf.getvalue()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["Config", "ResourceGuardError"]
 
@@ -15,19 +15,18 @@ class ResourceGuardError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple("Limits", [("max_rank", int), ("memo_budget", int)])):
     """Limits on evaluation size: the largest rank a call may start and
     the number of memo entries one trace context may store."""
 
-    max_rank: int = 20
-    memo_budget: int = 5_000_000
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_rank < 1:
+    def __new__(cls, max_rank: int = 20, memo_budget: int = 5_000_000):
+        if max_rank < 1:
             raise ValueError("max_rank must be >= 1")
-        if self.memo_budget < 1:
+        if memo_budget < 1:
             raise ValueError("memo_budget must be >= 1")
+        return super().__new__(cls, max_rank, memo_budget)
 
     def check_rank(self, n: int) -> None:
         if n > self.max_rank:

@@ -27,7 +27,6 @@ and the standard bitableaux count.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from collections import Counter
@@ -268,6 +267,7 @@ class TraceCache:
             },
             separators=(",", ":"),
         )
+        import hashlib  # loaded only when a cache directory is in use
         return payload, hashlib.sha256(payload.encode()).hexdigest()
 
     def get(self, kind: str, lam: BiPartition, br: BrSequence) -> HalfLaurent | None:

@@ -25,7 +25,7 @@ from almostchar.almost import (
     recursion_check,
     verify_nonvanishing,
 )
-from almostchar.config import Config
+from almostchar.config import Config, ResourceGuardError
 from almostchar.halflaurent import HalfLaurent, ZERO
 from almostchar.hecke import class_reps, mn_trace, br_from_cycles, valid_d_cycle_lists
 from almostchar.shapes import bipartition
@@ -335,6 +335,38 @@ def test_d_swap_diagnostic():
     assert report.verdict == "pass"
     assert report.fields["pairs"] > 0
     assert report.fields["asymmetries"] == []
+
+
+def test_config_record():
+    assert (Config().max_rank, Config().memo_budget) == (20, 5_000_000)
+    config = Config(memo_budget=7, max_rank=30)
+    assert (config.max_rank, config.memo_budget) == (30, 7)
+    config.check_rank(30)
+    with pytest.raises(ResourceGuardError, match="max_rank 30"):
+        config.check_rank(31)
+    for bad in ({"max_rank": 0}, {"memo_budget": 0}):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be >= 1"):
+            Config(**bad)
+    for name in ("max_rank", "memo_budget"):
+        with pytest.raises(AttributeError):
+            setattr(config, name, 5)
+    assert (config.max_rank, config.memo_budget) == (30, 7)
+
+
+def test_report_record():
+    fields = {"kind": "B", "n": 2}
+    report = VerificationReport(claim="c", verdict="pass", fields=fields, ms=12)
+    assert report.passed and report.notes == ()
+    assert list(report.to_json_obj()) == ["claim", "kind", "n", "verdict", "ms"]
+    assert report.to_json_obj(include_timing=False) == {
+        "claim": "c", "kind": "B", "n": 2, "verdict": "pass"}
+    noted = VerificationReport(claim="c", verdict="fail", fields=fields, notes=("x",))
+    assert not noted.passed
+    assert list(noted.to_json_obj()) == ["claim", "kind", "n", "verdict", "notes", "ms"]
+    assert noted.to_json_obj() == {
+        "claim": "c", "kind": "B", "n": 2, "verdict": "fail", "notes": ["x"], "ms": 0}
+    assert list(noted.to_json_obj(include_timing=False))[-1] == "notes"
+    assert not VerificationReport(claim="c", verdict="inconclusive", fields={}).passed
 
 
 def test_report_json_shape():

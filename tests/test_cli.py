@@ -158,6 +158,12 @@ def test_resource_guards_exit_three(capsys):
         # a cache directory that names an existing file
         ["mn", "eval", "--kind", "B", "--lambda", "[[1,1],[]]", "--cycles", "[-2]",
          "--cache-dir", __file__],
+        # a negative rank
+        ["verify", "m2", "--n", "-2"],
+        ["family", "involution-check", "--kind", "B", "--n", "-1"],
+        ["diagnose", "d-swap", "--n", "-1"],
+        # one box side given both as a positional and as a flag
+        ["enumerate", "pab", "2", "2", "--a", "3"],
     ],
 )
 def test_malformed_input_exit_two(capsys, argv):
@@ -196,6 +202,25 @@ def test_deep_recursion_exit_three():
     assert proc.returncode == 3
     assert "resource guard" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_start_up_skips_unneeded_imports():
+    # hashlib serves only --cache-dir and csv only --format csv, and the two
+    # records need no dataclasses (which pulls in inspect): a plain call
+    # must load none of them
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "from almostchar.cli import main\n"
+        "main(['verify', 'prop713', '--d', '1', '--no-timing'])\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(almostchar.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert loaded & {"dataclasses", "inspect", "hashlib", "csv"} == set()
 
 
 def test_output_formats(capsys):
