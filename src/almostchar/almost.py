@@ -390,7 +390,7 @@ def orthogonality_check(
     mismatches = []
     for i, wi in enumerate(reps):
         for j in range(i, len(reps)):
-            got = sum(x * y for x, y in zip(vectors[i], vectors[j]))
+            got = sum(map(mul, vectors[i], vectors[j]))
             expect = centralizer_order_B(wi) if i == j else 0
             if got != expect:
                 mismatches.append(

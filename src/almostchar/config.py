@@ -28,6 +28,10 @@ class Config(NamedTuple("Limits", [("max_rank", int), ("memo_budget", int)])):
             raise ValueError("memo_budget must be >= 1")
         return super().__new__(cls, max_rank, memo_budget)
 
+    @classmethod
+    def _make(cls, iterable) -> "Config":  # _replace builds through it too
+        return cls(*super()._make(iterable))
+
     def check_rank(self, n: int) -> None:
         if n > self.max_rank:
             raise ResourceGuardError(

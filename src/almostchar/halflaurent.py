@@ -10,6 +10,9 @@ No floating point anywhere.
 
 The bar involution swaps u^(1/2) with -u^(-1/2); on the stored encoding it
 sends the term (k, c) to (-k, c * (-1)**k).
+
+Terms are kept in the order they were built; every output (terms, repr,
+str, the JSON form) sorts by exponent, and the hash is computed on first use.
 """
 
 from __future__ import annotations
@@ -34,14 +37,14 @@ class HalfLaurent:
     Internally a dict {halfexp: coefficient} with no zero coefficients.  The
     constructor stores integral values as int, and int coefficients stay int
     under the ring operations; other values are exact Fractions.
-    Instances hash and compare by that dict, so memo tables and test
-    assertions can treat them as plain values.
+    Instances hash and compare by that dict, regardless of its order, so
+    memo tables and test assertions can treat them as plain values.
     """
 
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[int, object] | Iterable[tuple[int, object]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if hasattr(terms, "items") else terms
         acc: dict[int, int | Fraction] = {}
         for k, c in items:
             if type(c) is not int:
@@ -55,8 +58,8 @@ class HalfLaurent:
                 acc[k] = s
             else:
                 acc.pop(k, None)
-        self._terms = dict(sorted(acc.items()))
-        self._hash = hash(tuple(self._terms.items()))
+        self._terms = acc
+        self._hash = None
 
     # -- ring structure -------------------------------------------------
 
@@ -77,7 +80,9 @@ class HalfLaurent:
         return self + (-other)
 
     def __mul__(self, other) -> "HalfLaurent":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not HalfLaurent:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if other == 0:
                 return ZERO
             return HalfLaurent({k: c * other for k, c in self._terms.items()})
@@ -113,13 +118,15 @@ class HalfLaurent:
         return isinstance(other, HalfLaurent) and self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
     # -- inspection ------------------------------------------------------
 
     @property
     def terms(self) -> dict[int, int | Fraction]:
-        return dict(self._terms)
+        return dict(sorted(self._terms.items()))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -133,7 +140,7 @@ class HalfLaurent:
         return _from_clean({-k: c if k % 2 == 0 else -c for k, c in self._terms.items()})
 
     def __repr__(self) -> str:
-        return f"HalfLaurent({self._terms!r})"
+        return f"HalfLaurent({self.terms!r})"
 
     def __str__(self) -> str:
         if not self._terms:
@@ -167,7 +174,7 @@ class HalfLaurent:
         return {
             "terms": [
                 {"halfexp": k, "num": c.numerator, "den": c.denominator}
-                for k, c in self._terms.items()
+                for k, c in sorted(self._terms.items())
             ]
         }
 
@@ -177,10 +184,10 @@ class HalfLaurent:
 
 
 def _from_clean(terms: dict[int, int | Fraction]) -> HalfLaurent:
-    # Internal fast path: terms already has exact nonzero coefficients.
+    # Internal fast path: terms has exact nonzero coefficients and is handed over.
     out = HalfLaurent.__new__(HalfLaurent)
-    out._terms = dict(sorted(terms.items()))
-    out._hash = hash(tuple(out._terms.items()))
+    out._terms = terms
+    out._hash = None
     return out
 
 

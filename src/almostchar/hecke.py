@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .config import Config, ResourceGuardError
-from .halflaurent import ONE, ZERO, HalfLaurent, half_power
+from .halflaurent import ONE, ZERO, HalfLaurent, _from_clean, half_power
 from .shapes import (
     BiPartition,
     broken_strip_removals,
@@ -163,33 +163,30 @@ class MNContext:
             steps.append((mag - prev, barred))
             prev = mag
         self.steps = tuple(steps)
-        self.prefix_sizes = [0]
-        for size, _ in steps:
-            self.prefix_sizes.append(self.prefix_sizes[-1] + size)
+        self.prefactor = half_power(l_prime(br))
         self.memo_budget = memo_budget
         self._memo: dict = {}
 
     def chain_sum(self, outer: BiPartition, k: int) -> HalfLaurent:
-        if outer.size != self.prefix_sizes[k]:
-            return ZERO
+        """Sum over the strip removals of the first k segments from outer,
+        zero unless |outer| is their size.  Each memo entry accumulates
+        factor * sub in one dict and becomes one HalfLaurent."""
         if k == 0:
-            return ONE
+            return ZERO if outer.alpha or outer.beta else ONE
         key = (outer, k)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         size, barred = self.steps[k - 1]
-        total = ZERO
-        if barred:
-            for inner, shape in single_strip_removals(outer, size):
-                factor = delta_bar(shape, self.kind)
-                if factor:
-                    total = total + factor * self.chain_sum(inner, k - 1)
-        else:
-            for inner, shape in broken_strip_removals(outer, size):
-                factor = delta(shape)
-                if factor:
-                    total = total + factor * self.chain_sum(inner, k - 1)
+        removals = (single_strip_removals if barred else broken_strip_removals)(outer, size)
+        acc: dict = {}
+        for inner, shape in removals:
+            factor = delta_bar(shape, self.kind) if barred else delta(shape)
+            if factor:
+                for k2, c2 in self.chain_sum(inner, k - 1)._terms.items():
+                    for k1, c1 in factor._terms.items():
+                        acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+        total = _from_clean({e: c for e, c in acc.items() if c})
         if self.memo_budget is not None and len(self._memo) >= self.memo_budget:
             raise ResourceGuardError(
                 f"memo budget {self.memo_budget} exhausted at rank {self.br.n}"
@@ -223,6 +220,8 @@ def mn_trace(
         raise ValueError(f"kind D trace undefined for equal components {lam}")
     if config is not None:
         config.check_rank(br.n)
+    if context is not None and context.br is not br and context.br != br:
+        raise ValueError(f"context is for {cycles_from_br(context.br)}, not {cycles_from_br(br)}")
     if cache_store is not None:
         cached = cache_store.get(kind, lam, br)
         if cached is not None:
@@ -236,7 +235,7 @@ def mn_trace(
         raise ResourceGuardError(
             f"{len(context.steps)} cycles exceed the interpreter's recursion limit"
         ) from None
-    value = half_power(l_prime(br)) * chain
+    value = context.prefactor * chain
     if cache_store is not None:
         cache_store.put(kind, lam, br, value)
     return value

@@ -37,7 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .halflaurent import HalfLaurent, ONE, U, ZERO, _from_clean, u_power
+from .halflaurent import HalfLaurent, ONE, U, ZERO, _from_clean, half_power, u_power
 
 __all__ = [
     "Partition",
@@ -273,10 +273,10 @@ def _side_stats(outer: Partition, inner: Partition) -> tuple[int, int, int] | No
     return rows - joins, joins, cells - rows - joins
 
 
-@lru_cache(maxsize=64)
-def _u_power_terms(n: int) -> tuple:
-    """The (halfexp, coeff) terms of U^n."""
-    return tuple((U ** n).terms.items())
+@lru_cache(maxsize=None)
+def _delta_value(m: int, odd: int, e: int) -> HalfLaurent:
+    """(-1)^odd * u^(e/2) * U^(m-1), one shared value per key."""
+    return half_power(e, -1 if odd else 1) * U ** (m - 1)
 
 
 def delta(x: SkewBiShape) -> HalfLaurent:
@@ -293,9 +293,7 @@ def delta(x: SkewBiShape) -> HalfLaurent:
     m = a[0] + b[0]
     if m == 0:
         return ONE
-    sign = -1 if (a[1] + b[1]) & 1 else 1
-    e = a[2] + b[2]
-    return _from_clean({k + e: sign * c for k, c in _u_power_terms(m - 1)})
+    return _delta_value(m, (a[1] + b[1]) & 1, a[2] + b[2])
 
 
 def content(side: str, cell: tuple[int, int], kind: str) -> HalfLaurent:

@@ -26,6 +26,7 @@ __all__ = [
     "build_q1_generators",
     "verify_relations",
     "word_for_b_cycles",
+    "word_for_b_cycles_in_order",
     "word_for_d_cycles",
     "trace_of_word",
     "eval_halflaurent",
@@ -188,9 +189,19 @@ def verify_relations(gens, usq, t0_squares_to_one=False):
 
 def word_for_b_cycles(cycles, n):
     """Generator indices of the endpoint word, barred cycles first ascending."""
+    return word_for_b_cycles_in_order(sorted(cycles, key=lambda x: (x > 0, abs(x))), n)
+
+
+def word_for_b_cycles_in_order(cycles, n):
+    """Generator indices of the endpoint word, cycles in the order given.
+
+    This is the word mn_trace evaluates: a cycle from k to l spells
+    s_k .. s_(l-1), after the walk s_(k-1) .. s_1 t s_1 .. s_(k-1) if it is
+    barred.
+    """
     word = []
     prev = 0
-    for c in sorted(cycles, key=lambda x: (x > 0, abs(x))):
+    for c in cycles:
         k, l = prev + 1, prev + abs(c)
         if c < 0:
             word.extend(range(k - 1, 0, -1))

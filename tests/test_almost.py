@@ -28,7 +28,7 @@ from almostchar.almost import (
 from almostchar.config import Config, ResourceGuardError
 from almostchar.halflaurent import HalfLaurent, ZERO
 from almostchar.hecke import class_reps, mn_trace, br_from_cycles, valid_d_cycle_lists
-from almostchar.shapes import bipartition
+from almostchar.shapes import bipartition, bipartitions_of
 from almostchar.symbols import (
     pairing,
     shift_canonicalize,
@@ -186,6 +186,27 @@ def test_trace_engine_never_falls_back_to_cells(monkeypatch):
     shapes_module._no_2x2_inners_by_size.cache_clear()
     shapes_module._connected_strip_inners.cache_clear()
     assert reports() == want
+
+
+def test_chain_sum_builds_one_value_per_memo_entry(monkeypatch):
+    # each memo entry is accumulated in one dict: no ring addition at all,
+    # and one product per trace, its prefactor
+    want = orthogonality_check(4).to_json_obj(include_timing=False)
+    products = []
+    plain_mul = HalfLaurent.__mul__
+
+    def counted_mul(self, other):
+        products.append(other)
+        return plain_mul(self, other)
+
+    def refuse(self, other):
+        raise AssertionError("the trace engine added two polynomials")
+
+    monkeypatch.setattr(HalfLaurent, "__add__", refuse)
+    monkeypatch.setattr(HalfLaurent, "__mul__", counted_mul)
+    monkeypatch.setattr(HalfLaurent, "__rmul__", counted_mul)
+    assert orthogonality_check(4).to_json_obj(include_timing=False) == want
+    assert len(products) <= len(class_reps(4)) * len(list(bipartitions_of(4)))
 
 
 def test_routes_agree():
@@ -347,6 +368,15 @@ def test_config_record():
     for bad in ({"max_rank": 0}, {"memo_budget": 0}):
         with pytest.raises(ValueError, match=f"{next(iter(bad))} must be >= 1"):
             Config(**bad)
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be >= 1"):
+            config._replace(**bad)
+    with pytest.raises(ValueError, match="max_rank must be >= 1"):
+        Config._make((0, -5))
+    with pytest.raises(ValueError, match="memo_budget must be >= 1"):
+        Config._make((3, -5))
+    assert config._replace(max_rank=31) == Config(31, 7)
+    assert type(config._replace(max_rank=31)) is Config
+    assert Config._make((4, 9)) == Config(max_rank=4, memo_budget=9)
     for name in ("max_rank", "memo_budget"):
         with pytest.raises(AttributeError):
             setattr(config, name, 5)

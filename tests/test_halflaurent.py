@@ -11,6 +11,7 @@ from almostchar.halflaurent import (
     U,
     ZERO,
     HalfLaurent,
+    _from_clean,
     half_power,
     hl_exact_div,
     u_power,
@@ -135,6 +136,27 @@ def test_scalar_multiplication_and_pow():
 def test_hashable_and_usable_as_dict_key():
     table = {U: "strip factor", ONE: "unit"}
     assert table[HalfLaurent([(1, 1), (-1, -1)])] == "strip factor"
+
+
+@given(
+    st.dictionaries(st.integers(min_value=-10, max_value=10), coeffs, max_size=7).flatmap(
+        lambda d: st.tuples(st.permutations(list(d.items())), st.permutations(list(d.items())))
+    )
+)
+def test_value_does_not_depend_on_term_order(orders):
+    first, second = orders
+    x, y = HalfLaurent(first), HalfLaurent(second)
+    # reduced terms in the second order, handed over as the trace engine does
+    fused = _from_clean({k: x.terms[k] for k, _ in second if k in x.terms})
+    memo = {("entry", 1): x}  # stored as a memo value, before any hash
+    table = {memo[("entry", 1)]: "value"}
+    assert table[y] == table[fused] == "value"
+    for z in (y, fused):
+        assert x == z and hash(x) == hash(z)
+        assert x.to_json_obj() == z.to_json_obj()
+        assert (repr(x), str(x)) == (repr(z), str(z))
+        assert list(x.terms) == list(z.terms) == sorted(z.terms)
+    assert {x, y, fused} == {x}
 
 
 @settings(max_examples=30)

@@ -4,10 +4,10 @@ independently built seminormal matrix model (tests/seminormal.py)."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from almostchar.halflaurent import HalfLaurent
+from almostchar.halflaurent import ONE, ZERO, HalfLaurent
 from almostchar.hecke import (
     BrEntry,
     MNContext,
@@ -23,7 +23,15 @@ from almostchar.hecke import (
     st_bitableaux,
     valid_d_cycle_lists,
 )
-from almostchar.shapes import bipartition, bipartitions_of, partitions_of
+from almostchar.shapes import (
+    bipartition,
+    bipartitions_of,
+    broken_strip_removals,
+    delta,
+    delta_bar,
+    partitions_of,
+    single_strip_removals,
+)
 
 from seminormal import (
     build_b_generators,
@@ -32,6 +40,7 @@ from seminormal import (
     trace_of_word,
     verify_relations,
     word_for_b_cycles,
+    word_for_b_cycles_in_order,
     word_for_d_cycles,
 )
 
@@ -209,6 +218,16 @@ def test_mn_trace_errors():
         mn_trace("D", bp([1], [1]), br_from_cycles("D", [2]))
 
 
+def test_mn_trace_rejects_a_context_built_for_another_element():
+    lam, br = bp([3], [1]), br_from_cycles("B", [-1, 3])
+    with pytest.raises(ValueError, match="context"):
+        mn_trace("B", lam, br, context=MNContext(br_from_cycles("B", [2, 2])))
+    # an equal element built apart is the same element
+    assert mn_trace("B", lam, br, context=MNContext(br_from_cycles("B", [-1, 3]))) == hl(
+        [(6, 1), (4, -2)]
+    )
+
+
 def test_memo_budget_guard():
     br = br_from_cycles("B", [-2, 3])
     ctx = MNContext(br, memo_budget=1)
@@ -299,6 +318,100 @@ def test_traces_have_int_coefficients(tmp_path):
                 assert all(type(c) is int for c in cached.terms.values()), (kind, cycles, lam)
 
 
+# -- the summing engine as the oracle of the fused one ---------------------------
+
+
+class SummingContext(MNContext):
+    """The chain sum as a plain sum of delta * sub through the public ring
+    operations, with the size test up front: the engine before the memo
+    entries were accumulated in place."""
+
+    def __init__(self, br):
+        super().__init__(br)
+        self.prefix_sizes = [0]
+        for size, _ in self.steps:
+            self.prefix_sizes.append(self.prefix_sizes[-1] + size)
+
+    def chain_sum(self, outer, k):
+        if outer.size != self.prefix_sizes[k]:
+            return ZERO
+        if k == 0:
+            return ONE
+        key = (outer, k)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        size, barred = self.steps[k - 1]
+        total = ZERO
+        if barred:
+            for inner, shape in single_strip_removals(outer, size):
+                factor = delta_bar(shape, self.kind)
+                if factor:
+                    total = total + factor * self.chain_sum(inner, k - 1)
+        else:
+            for inner, shape in broken_strip_removals(outer, size):
+                factor = delta(shape)
+                if factor:
+                    total = total + factor * self.chain_sum(inner, k - 1)
+        self._memo[key] = total
+        return total
+
+
+@st.composite
+def compositions(draw, n):
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    return [b - a for a, b in zip([0] + cuts, cuts + [n])] if n else []
+
+
+@st.composite
+def b_cycle_lists(draw):
+    parts = draw(compositions(draw(st.integers(1, 6))))
+    return tuple(-c if draw(st.booleans()) else c for c in parts)
+
+
+@st.composite
+def d_cycle_lists(draw):
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        return tuple(draw(compositions(n)))
+    c = draw(st.integers(1, n - 1))
+    return (-1, -c) + tuple(draw(compositions(n - 1 - c)))
+
+
+def _fused_equals_summing(kind, cycles):
+    br = br_from_cycles(kind, cycles)
+    fused, summing = MNContext(br), SummingContext(br)
+    for lam in bipartitions_of(br.n):
+        if kind == "D" and lam.alpha == lam.beta:
+            continue
+        got = mn_trace(kind, lam, br, context=fused)
+        assert got == mn_trace(kind, lam, br, context=summing), (cycles, lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(b_cycle_lists())
+def test_fused_chain_sum_matches_summing_engine_b(cycles):
+    _fused_equals_summing("B", cycles)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d_cycle_lists())
+def test_fused_chain_sum_matches_summing_engine_d(cycles):
+    _fused_equals_summing("D", cycles)
+
+
+def test_chain_sum_is_zero_off_the_prefix_size():
+    br = br_from_cycles("B", [-1, 2])
+    context = MNContext(br)
+    assert context.chain_sum(bp([2, 1], [1]), 2) == ZERO  # |outer| = 4, not 3
+    assert context.chain_sum(bp([1], []), 2) == ZERO  # |outer| = 1
+    assert context.chain_sum(bp([1], []), 0) == ZERO
+    assert context.chain_sum(bp([], []), 0) == ONE
+    assert context.chain_sum(bp([2, 1], []), 2) == SummingContext(br).chain_sum(
+        bp([2, 1], []), 2
+    )
+
+
 # -- certification against the seminormal matrix model -------------------------
 #
 # The matrix model is built from scratch in tests/seminormal.py: explicit
@@ -357,6 +470,21 @@ def test_mn_matches_matrix_model_d_rank4_subset():
     for lam in shapes:
         for cycles in lists:
             assert _matrix_vs_mn_d(lam, cycles, 4, Fraction(2)), (lam, cycles)
+
+
+@pytest.mark.parametrize("cycles", [(1, -3), (2, -2), (1, 1, -2), (1, -1, 2)])
+def test_mn_matches_matrix_model_b_in_engine_order(cycles):
+    # cycles in the order given, not sorted barred-first: for these lists
+    # the sorted word is another element, with other traces
+    br = br_from_cycles("B", cycles)
+    word = word_for_b_cycles_in_order(cycles, 4)
+    assert word != word_for_b_cycles(cycles, 4)
+    context = MNContext(br)
+    for lam in bipartitions_of(4):
+        value = mn_trace("B", lam, br, context=context)
+        for usq in USQ_POINTS + (Fraction(3),):
+            gens = build_b_generators(lam.alpha, lam.beta, usq)
+            assert trace_of_word(gens, word) == eval_halflaurent(value, usq), (lam, usq)
 
 
 def test_word_builders_reject_bad_patterns():
