@@ -35,8 +35,10 @@ class HalfLaurent:
     """Immutable Laurent polynomial in u^(1/2) over Q.
 
     Internally a dict {halfexp: coefficient} with no zero coefficients.  The
-    constructor stores integral values as int, and int coefficients stay int
-    under the ring operations; other values are exact Fractions.
+    constructor takes int exponents and int or Fraction coefficients only
+    (anything else, bool and float included, is a TypeError), stores
+    integral values as int, and int coefficients stay int under the ring
+    operations; other values are exact Fractions.
     Instances hash and compare by that dict, regardless of its order, so
     memo tables and test assertions can treat them as plain values.
     """
@@ -47,12 +49,14 @@ class HalfLaurent:
         items = terms.items() if hasattr(terms, "items") else terms
         acc: dict[int, int | Fraction] = {}
         for k, c in items:
+            if type(k) is not int:
+                raise TypeError(f"exponent must be an int, got {k!r}")
             if type(c) is not int:
-                c = Fraction(c)
+                if not isinstance(c, Fraction):
+                    raise TypeError(f"coefficient must be an int or a Fraction, got {c!r}")
                 c = c.numerator if c.denominator == 1 else c
             if c == 0:
                 continue
-            k = int(k)
             s = acc.get(k, 0) + c
             if s:
                 acc[k] = s

@@ -22,6 +22,10 @@ Both statistics are computed from the rows alone, by these rules:
 * row criterion: rows i and i+1 of outer/inner hold a 2x2 block exactly
   when inner_i < outer_{i+1} - 1; without one, they are connected exactly
   when inner_i == outer_{i+1} - 1 (they then share one column);
+* room bound: by the row criterion, rows i.. of outer can give up at most
+  room_i = sum over k >= i of outer_k - max(outer_{k+1} - 1, 0) cells with
+  no 2x2 block, and every size from 0 to room_0 occurs (checked for every
+  partition of n <= 14);
 * corner rule: in one border strip, the sharp corners (no cell above, none
   to the left) are the first cell of the top row and the first cell of
   every other row of length >= 2; the dull corners (a cell above and one to
@@ -249,6 +253,7 @@ def strip_classify(x: SkewBiShape) -> StripInfo:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _side_stats(outer: Partition, inner: Partition) -> tuple[int, int, int] | None:
     """(m, sum of (r-1), sum of (cells - 2r + 1)) over the m components of
     one side outer/inner, each of r rows; None if the side has a 2x2 block.
@@ -393,45 +398,57 @@ def remove_strips(outer: BiPartition, m: int) -> list[tuple[BiPartition, SkewBiS
 
 
 @lru_cache(maxsize=None)
-def _no_2x2_inners_by_size(outer: Partition) -> dict[int, tuple[Partition, ...]]:
-    """Sub-partitions whose skew difference has no 2x2 block, by |outer/inner|.
+def _room(outer: Partition) -> tuple[int, ...]:
+    """room[i]: the most cells removable from rows i.. of outer without a 2x2
+    block, by the row criterion; room[len(outer)] == 0."""
+    room = [0] * (len(outer) + 1)
+    for i in range(len(outer) - 1, -1, -1):
+        below = outer[i + 1] if i + 1 < len(outer) else 0
+        room[i] = room[i + 1] + outer[i] - max(below - 1, 0)
+    return tuple(room)
 
-    By the row criterion that is inner_i >= outer_{i+1} - 1 for every row i,
-    which cuts the search space down to the broken border strips the
-    evaluator needs.  One walk per outer partition serves every size.
+
+@lru_cache(maxsize=None)
+def _no_2x2_inners(outer: Partition, removed: int) -> tuple[Partition, ...]:
+    """Sub-partitions inner with |outer/inner| = removed and no 2x2 block.
+
+    Row i keeps v cells with max(outer_{i+1} - 1, 0) <= v (the row
+    criterion) and leaves at most room[i+1] cells to the rows below, so the
+    walk builds only inners of the requested size, in sorted order.
     """
-    acc: dict[int, list[Partition]] = {}
+    room = _room(outer)
+    if removed > room[0]:
+        return ()
+    acc: list[Partition] = []
     n_rows = len(outer)
 
-    def rows(i: int, prev: int, taken: int, prefix: tuple):
+    def rows(i: int, prev: int, left: int, prefix: tuple):
         if i == n_rows:
-            acc.setdefault(taken, []).append(prefix)
+            acc.append(prefix)
             return
+        o = outer[i]
         floor_i = outer[i + 1] - 1 if i + 1 < n_rows else 0
-        for v in range(min(outer[i], prev), floor_i - 1, -1):
-            rows(i + 1, v, taken + outer[i] - v, prefix + ((v,) if v else ()))
+        lo = max(floor_i, o - left)
+        hi = min(o, prev, o - left + room[i + 1])
+        for v in range(lo, hi + 1):
+            rows(i + 1, v, left - o + v, prefix + ((v,) if v else ()))
 
-    rows(0, outer[0] if outer else 0, 0, ())
-    return {size: tuple(sorted(inners)) for size, inners in acc.items()}
-
-
-def _no_2x2_inners(outer: Partition, removed: int) -> tuple[Partition, ...]:
-    """Sub-partitions inner with |outer/inner| = removed and no 2x2 block."""
-    return _no_2x2_inners_by_size(outer).get(removed, ())
+    rows(0, outer[0] if outer else 0, removed, ())
+    return tuple(acc)
 
 
 def broken_strip_removals(outer: BiPartition, m: int) -> Iterator[tuple[BiPartition, SkewBiShape]]:
     """Inner bipartitions whose difference is a broken border strip of size m.
 
     Pruned equivalent of filtering remove_strips by delta != 0; the two
-    agree (tested) and this one stays usable at rank 30.
+    agree (tested) and this one stays usable at rank 30.  Alpha gives up j
+    cells and beta m - j, each at most its room, so only sizes both sides
+    can supply are built.
     """
-    for j in range(m + 1):
-        inners_a = _no_2x2_inners(outer.alpha, j)
-        if not inners_a:
-            continue
+    room_b = _room(outer.beta)[0]
+    for j in range(max(0, m - room_b), min(m, _room(outer.alpha)[0]) + 1):
         inners_b = _no_2x2_inners(outer.beta, m - j)
-        for ia in inners_a:
+        for ia in _no_2x2_inners(outer.alpha, j):
             for ib in inners_b:
                 inner = BiPartition(ia, ib)
                 yield inner, SkewBiShape(outer, inner)
@@ -439,6 +456,8 @@ def broken_strip_removals(outer: BiPartition, m: int) -> Iterator[tuple[BiPartit
 
 @lru_cache(maxsize=None)
 def _connected_strip_inners(outer: Partition, removed: int) -> tuple[Partition, ...]:
+    if removed > _room(outer)[0]:
+        return ()
     return tuple(
         inner
         for inner in _no_2x2_inners(outer, removed)

@@ -183,9 +183,30 @@ def test_trace_engine_never_falls_back_to_cells(monkeypatch):
     want = reports()
     for name in ("strip_classify", "skew_cells", "_connected_components"):
         monkeypatch.setattr(shapes_module, name, refuse)
-    shapes_module._no_2x2_inners_by_size.cache_clear()
-    shapes_module._connected_strip_inners.cache_clear()
+    for cached in ("_room", "_no_2x2_inners", "_connected_strip_inners", "_side_stats"):
+        getattr(shapes_module, cached).cache_clear()
     assert reports() == want
+
+
+def test_strip_enumeration_asks_only_for_sizes_a_side_can_supply(monkeypatch):
+    # each side gives up at most its room, so no cached _no_2x2_inners entry
+    # is an empty walk
+    empty = []
+    walk = shapes_module._no_2x2_inners
+
+    def recorded(outer, removed):
+        inners = walk(outer, removed)
+        if not inners:
+            empty.append((outer, removed))
+        return inners
+
+    monkeypatch.setattr(shapes_module, "_no_2x2_inners", recorded)
+    walk.cache_clear()
+    shapes_module._connected_strip_inners.cache_clear()
+    recursion_check(5, 4, [8, 12])
+    orthogonality_check(4)
+    assert walk.cache_info().currsize > 0
+    assert empty == []
 
 
 def test_chain_sum_builds_one_value_per_memo_entry(monkeypatch):

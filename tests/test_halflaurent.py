@@ -123,6 +123,40 @@ def test_zero_terms_are_dropped():
     assert not HalfLaurent([(5, 0)])
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [(0, 0.1)],  # a float would be stored as its binary expansion
+        [(1, "1/3")],  # a string would be parsed
+        [(0, True)],
+        [(0.5, 1)],  # a float exponent would be truncated to 0
+        [(True, 1)],
+        [(Fraction(2), 1)],
+        {2.0: 1},
+    ],
+)
+def test_constructor_refuses_non_exact_input(terms):
+    with pytest.raises(TypeError):
+        HalfLaurent(terms)
+
+
+def test_monomial_builders_refuse_non_exact_input():
+    with pytest.raises(TypeError):
+        u_power(1, 0.1)
+    with pytest.raises(TypeError):
+        half_power(0.5)
+
+
+def test_exact_builders_still_construct():
+    x = HalfLaurent.from_json_obj({"terms": [{"halfexp": 2, "num": 6, "den": 2}]})
+    assert x.terms == {2: 3} and type(x.terms[2]) is int
+    q = hl_exact_div(u_power(1) - ONE, half_power(1) - ONE)
+    assert q == half_power(1) + ONE and all(type(c) is int for c in q.terms.values())
+    assert (Fraction(1, 3) * u_power(1)).terms == {2: Fraction(1, 3)}
+    assert (u_power(1) * Fraction(4, 2)).terms == {2: 2}
+    assert (True * u_power(1)) == u_power(1)
+
+
 def test_scalar_multiplication_and_pow():
     x = u_power(1) + ONE
     assert 2 * x == x + x

@@ -13,6 +13,7 @@ from almostchar.shapes import (
     BiPartition,
     _has_2x2,
     _no_2x2_inners,
+    _room,
     _sub_partitions,
     bipartition,
     bipartitions_of,
@@ -186,6 +187,19 @@ def test_no_2x2_inners_match_filtered_sub_partitions():
                 assert _no_2x2_inners(outer, r) == want, (outer, r)
 
 
+def test_every_size_up_to_the_room_occurs():
+    # rows i.. give up at most sum over k >= i of outer_k - max(outer_{k+1} - 1, 0)
+    # cells, and every size from 0 to that bound has a no-2x2 inner
+    for n in range(15):
+        for outer in partitions_of(n):
+            below = outer[1:] + (0,)
+            room = sum(o - max(b - 1, 0) for o, b in zip(outer, below))
+            assert _room(outer)[0] == room, outer
+            for r in range(room + 1):
+                assert _no_2x2_inners(outer, r), (outer, r)
+            assert _no_2x2_inners(outer, room + 1) == (), outer
+
+
 def test_content_conventions():
     assert content("alpha", (1, 1), "B") == u_power(1)
     assert content("alpha", (1, 1), "D") == ONE
@@ -209,29 +223,28 @@ def test_remove_strips_examples():
         remove_strips(bp((1,), ()), 2)
 
 
-@given(st.tuples(partitions_strategy, partitions_strategy), st.integers(1, 5))
-def test_pruned_broken_enumeration_matches_filtered_naive(pair, m):
-    outer = BiPartition(*pair)
-    if m > outer.size:
-        return
-    naive = {
-        inner for inner, shape in remove_strips(outer, m) if not delta(shape).is_zero()
-    }
-    pruned = {inner for inner, _ in broken_strip_removals(outer, m)}
+@st.composite
+def outer_and_size(draw):
+    """An outer bipartition and a removal size from 0 to all of it."""
+    outer = BiPartition(draw(partitions_strategy), draw(partitions_strategy))
+    return outer, draw(st.integers(0, outer.size))
+
+
+@given(outer_and_size())
+def test_pruned_broken_enumeration_matches_filtered_naive(case):
+    outer, m = case
+    naive = [inner for inner, shape in remove_strips(outer, m) if not delta(shape).is_zero()]
+    pruned = sorted(inner for inner, _ in broken_strip_removals(outer, m))
     assert pruned == naive
 
 
-@given(st.tuples(partitions_strategy, partitions_strategy), st.integers(1, 5))
-def test_pruned_single_strip_enumeration_matches_filtered_naive(pair, m):
-    outer = BiPartition(*pair)
-    if m > outer.size:
-        return
-    naive = {
-        inner
-        for inner, shape in remove_strips(outer, m)
-        if not delta_bar(shape, "B").is_zero()
-    }
-    pruned = {inner for inner, _ in single_strip_removals(outer, m)}
+@given(outer_and_size())
+def test_pruned_single_strip_enumeration_matches_filtered_naive(case):
+    outer, m = case
+    naive = [
+        inner for inner, shape in remove_strips(outer, m) if not delta_bar(shape, "B").is_zero()
+    ]
+    pruned = sorted(inner for inner, _ in single_strip_removals(outer, m))
     assert pruned == naive
 
 
