@@ -445,8 +445,8 @@ def broken_strip_removals(outer: BiPartition, m: int) -> Iterator[tuple[BiPartit
     cells and beta m - j, each at most its room, so only sizes both sides
     can supply are built.
     """
-    room_b = _room(outer.beta)[0]
-    for j in range(max(0, m - room_b), min(m, _room(outer.alpha)[0]) + 1):
+    lo = max(0, m - _room(outer.beta)[0])
+    for j in range(lo, min(m, _room(outer.alpha)[0]) + 1):
         inners_b = _no_2x2_inners(outer.beta, m - j)
         for ia in _no_2x2_inners(outer.alpha, j):
             for ib in inners_b:

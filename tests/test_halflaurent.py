@@ -154,7 +154,6 @@ def test_exact_builders_still_construct():
     assert q == half_power(1) + ONE and all(type(c) is int for c in q.terms.values())
     assert (Fraction(1, 3) * u_power(1)).terms == {2: Fraction(1, 3)}
     assert (u_power(1) * Fraction(4, 2)).terms == {2: 2}
-    assert (True * u_power(1)) == u_power(1)
 
 
 def test_scalar_multiplication_and_pow():
