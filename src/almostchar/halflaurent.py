@@ -85,7 +85,7 @@ class HalfLaurent:
 
     def __mul__(self, other) -> "HalfLaurent":
         if type(other) is not HalfLaurent:
-            if not isinstance(other, (int, Fraction)):
+            if type(other) is bool or not isinstance(other, (int, Fraction)):
                 return NotImplemented
             if other == 0:
                 return ZERO

@@ -14,7 +14,11 @@ statistic delta_bar, and the whole sum carries a prefactor u^(l'/2) with
 l' counting the non-distinguished letters of the defining word.  Partial
 sums are memoized on (remaining bipartition, number of remaining
 segments), so sweeps over many bipartitions of the same rank share work
-through a common context.
+through a common context.  Beneath the memo, the strip removals of one
+step, scored and with the zero factors dropped, form a table that depends
+only on (outer bipartition, strip size, step kind); each table is built
+once per process and shared by every context, so the contexts of a sweep
+over many elements do not enumerate the same strips again.
 
 Kind D accepts only two barred patterns: no bars at all, or a leading
 [-1, -c, ...] pair followed by plain cycles; and its traces are defined
@@ -145,13 +149,36 @@ def l_prime(br: BrSequence) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _removal_table(outer: BiPartition, size: int, bar_kind: str | None) -> tuple:
+    """(inner, factor) for every strip of `size` cells off outer whose
+    factor is nonzero, in the order the enumerator yields them.
+
+    A plain step (bar_kind None) takes the broken strips scored by delta,
+    which does not depend on the kind; a barred step takes the single
+    strips scored by delta_bar, whose content factors do, so bar_kind is
+    "B" or "D".  factor is the value delta or delta_bar returns, shared, not
+    copied.  One table per key for the life of the process.
+    """
+    plain = bar_kind is None
+    table = []
+    for inner, shape in (broken_strip_removals if plain else single_strip_removals)(outer, size):
+        factor = delta(shape) if plain else delta_bar(shape, bar_kind)
+        if factor:
+            table.append((inner, factor))
+    return tuple(table)
+
+
 class MNContext:
     """Memoized chain summation for one (kind, endpoint sequence) pair.
 
     Share one context across the bipartitions of a sweep, evaluated one
     after another, so that they reuse each other's partial sums.  The
     memo_budget is a loose cap on stored entries; going past it raises
-    ResourceGuardError instead of thrashing.
+    ResourceGuardError instead of thrashing.  The memo is the context's
+    own; the strip-removal tables it reads are shared by every context in
+    the process.  steps holds (size, bar_kind) per segment, bar_kind being
+    None for a plain segment and the kind for a barred one.
     """
 
     def __init__(self, br: BrSequence, memo_budget: int | None = None):
@@ -160,7 +187,7 @@ class MNContext:
         steps = []
         prev = 0
         for mag, barred in br.entries:
-            steps.append((mag - prev, barred))
+            steps.append((mag - prev, br.kind if barred else None))
             prev = mag
         self.steps = tuple(steps)
         self.prefactor = half_power(l_prime(br))
@@ -170,22 +197,19 @@ class MNContext:
     def chain_sum(self, outer: BiPartition, k: int) -> HalfLaurent:
         """Sum over the strip removals of the first k segments from outer,
         zero unless |outer| is their size.  Each memo entry accumulates
-        factor * sub in one dict and becomes one HalfLaurent."""
+        factor * sub over the step's removal table in one dict and becomes
+        one HalfLaurent."""
         if k == 0:
             return ZERO if outer.alpha or outer.beta else ONE
         key = (outer, k)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        size, barred = self.steps[k - 1]
-        removals = (single_strip_removals if barred else broken_strip_removals)(outer, size)
         acc: dict = {}
-        for inner, shape in removals:
-            factor = delta_bar(shape, self.kind) if barred else delta(shape)
-            if factor:
-                for k2, c2 in self.chain_sum(inner, k - 1)._terms.items():
-                    for k1, c1 in factor._terms.items():
-                        acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+        for inner, factor in _removal_table(outer, *self.steps[k - 1]):
+            for k2, c2 in self.chain_sum(inner, k - 1)._terms.items():
+                for k1, c1 in factor._terms.items():
+                    acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
         total = _from_clean({e: c for e, c in acc.items() if c})
         if self.memo_budget is not None and len(self._memo) >= self.memo_budget:
             raise ResourceGuardError(

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from almostchar import almost as almost_module
+from almostchar import hecke as hecke_module
 from almostchar import shapes as shapes_module
 from almostchar import symbols as symbols_module
 from almostchar.almost import (
@@ -183,8 +184,9 @@ def test_trace_engine_never_falls_back_to_cells(monkeypatch):
     want = reports()
     for name in ("strip_classify", "skew_cells", "_connected_components"):
         monkeypatch.setattr(shapes_module, name, refuse)
-    for cached in ("_room", "_no_2x2_inners", "_connected_strip_inners", "_side_stats"):
+    for cached in ("_room", "_no_2x2_inners", "_connected_strip_inners"):
         getattr(shapes_module, cached).cache_clear()
+    hecke_module._removal_table.cache_clear()
     assert reports() == want
 
 
@@ -203,10 +205,34 @@ def test_strip_enumeration_asks_only_for_sizes_a_side_can_supply(monkeypatch):
     monkeypatch.setattr(shapes_module, "_no_2x2_inners", recorded)
     walk.cache_clear()
     shapes_module._connected_strip_inners.cache_clear()
+    hecke_module._removal_table.cache_clear()
     recursion_check(5, 4, [8, 12])
     orthogonality_check(4)
     assert walk.cache_info().currsize > 0
     assert empty == []
+
+
+def test_each_removal_table_is_enumerated_once_per_process(monkeypatch):
+    # the contexts of a sweep share one table per (outer, size, bar_kind);
+    # the sweep is kind B only, so the enumerator and (outer, size) name it
+    asked = []
+
+    def recorded(name):
+        enumerate_strips = getattr(hecke_module, name)
+
+        def enumerate_recorded(outer, size):
+            asked.append((name, outer, size))
+            return enumerate_strips(outer, size)
+
+        return enumerate_recorded
+
+    want = orthogonality_check(4).to_json_obj(include_timing=False)
+    for name in ("broken_strip_removals", "single_strip_removals"):
+        monkeypatch.setattr(hecke_module, name, recorded(name))
+    hecke_module._removal_table.cache_clear()
+    assert orthogonality_check(4).to_json_obj(include_timing=False) == want
+    assert {name for name, _, _ in asked} == {"broken_strip_removals", "single_strip_removals"}
+    assert len(set(asked)) == len(asked)
 
 
 def test_chain_sum_builds_one_value_per_memo_entry(monkeypatch):

@@ -166,6 +166,15 @@ def test_scalar_multiplication_and_pow():
         x ** -1
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_scalar_multiplication_refuses_a_bool(flag):
+    for x in (u_power(1), U, ZERO):
+        with pytest.raises(TypeError):
+            flag * x
+        with pytest.raises(TypeError):
+            x * flag
+
+
 def test_hashable_and_usable_as_dict_key():
     table = {U: "strip factor", ONE: "unit"}
     assert table[HalfLaurent([(1, 1), (-1, -1)])] == "strip factor"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from almostchar.halflaurent import ONE, ZERO, HalfLaurent
+from almostchar import hecke as hecke_module
 from almostchar.hecke import (
     BrEntry,
     MNContext,
@@ -30,6 +31,7 @@ from almostchar.shapes import (
     delta,
     delta_bar,
     partitions_of,
+    remove_strips,
     single_strip_removals,
 )
 
@@ -410,6 +412,33 @@ def test_chain_sum_is_zero_off_the_prefix_size():
     assert context.chain_sum(bp([2, 1], []), 2) == SummingContext(br).chain_sum(
         bp([2, 1], []), 2
     )
+
+
+# -- the shared removal table against the unpruned enumeration -----------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.sampled_from(list(bipartitions_of(n)))))
+def test_removal_table_matches_filtered_unpruned_enumeration(outer):
+    table = hecke_module._removal_table
+    table.cache_clear()
+    steps = (
+        (None, broken_strip_removals, delta),
+        ("B", single_strip_removals, lambda shape: delta_bar(shape, "B")),
+        ("D", single_strip_removals, lambda shape: delta_bar(shape, "D")),
+    )
+    for m in range(outer.size + 1):
+        naive = remove_strips(outer, m)
+        for bar_kind, enumerate_strips, score in steps:
+            got = table(outer, m, bar_kind)
+            want = [(inner, score(shape)) for inner, shape in naive if score(shape)]
+            assert sorted(got, key=lambda pair: pair[0]) == want, (outer, m, bar_kind)
+            # the enumerator's order, so each memo entry is built as before
+            assert [inner for inner, _ in got] == [
+                inner for inner, shape in enumerate_strips(outer, m) if score(shape)
+            ]
+    # plain, barred B and barred D are separate entries for every size
+    assert table.cache_info().currsize == 3 * (outer.size + 1)
 
 
 # -- certification against the seminormal matrix model -------------------------
