@@ -15,8 +15,6 @@ from .shapes import (
     delta_bar,
     partition,
     partitions_of,
-    remove_strips,
-    strip_classify,
 )
 from .symbols import (
     Family,

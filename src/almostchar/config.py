@@ -17,7 +17,12 @@ class ResourceGuardError(RuntimeError):
 
 class Config(NamedTuple("Limits", [("max_rank", int), ("memo_budget", int)])):
     """Limits on evaluation size: the largest rank a call may start and
-    the number of memo entries one trace context may store."""
+    the number of memo entries one trace context may store.
+
+    The memo budget caps each trace context's memo only.  The strip-removal
+    tables (hecke._removal_table) and the walk caches (shapes._room and
+    shapes._no_2x2_inners) last as long as the process and have no limit.
+    """
 
     __slots__ = ()
 

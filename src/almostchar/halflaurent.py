@@ -12,7 +12,8 @@ The bar involution swaps u^(1/2) with -u^(-1/2); on the stored encoding it
 sends the term (k, c) to (-k, c * (-1)**k).
 
 Terms are kept in the order they were built; every output (terms, repr,
-str, the JSON form) sorts by exponent, and the hash is computed on first use.
+str, the JSON form) sorts by exponent, and the hash is taken over the set of
+terms, so it does not depend on their order either.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class HalfLaurent:
     memo tables and test assertions can treat them as plain values.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, object] | Iterable[tuple[int, object]] = ()):
         items = terms.items() if hasattr(terms, "items") else terms
@@ -63,7 +64,6 @@ class HalfLaurent:
             else:
                 acc.pop(k, None)
         self._terms = acc
-        self._hash = None
 
     # -- ring structure -------------------------------------------------
 
@@ -122,9 +122,7 @@ class HalfLaurent:
         return isinstance(other, HalfLaurent) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     # -- inspection ------------------------------------------------------
 
@@ -191,7 +189,6 @@ def _from_clean(terms: dict[int, int | Fraction]) -> HalfLaurent:
     # Internal fast path: terms has exact nonzero coefficients and is handed over.
     out = HalfLaurent.__new__(HalfLaurent)
     out._terms = terms
-    out._hash = None
     return out
 
 

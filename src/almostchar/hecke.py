@@ -14,11 +14,14 @@ statistic delta_bar, and the whole sum carries a prefactor u^(l'/2) with
 l' counting the non-distinguished letters of the defining word.  Partial
 sums are memoized on (remaining bipartition, number of remaining
 segments), so sweeps over many bipartitions of the same rank share work
-through a common context.  Beneath the memo, the strip removals of one
-step, scored and with the zero factors dropped, form a table that depends
-only on (outer bipartition, strip size, step kind); each table is built
-once per process and shared by every context, so the contexts of a sweep
-over many elements do not enumerate the same strips again.
+through a common context.  Beneath the memo, the scored strip removals of
+one step form a table that depends only on (outer bipartition, strip size,
+step kind); each table is built once per process and shared by every
+context, so the contexts of a sweep over many elements do not enumerate
+the same strips again.  No factor in a table is zero: the enumerators
+yield only shapes with no 2x2 block, whose delta is +-u^(e/2) * U^(m-1)
+with U = u^(1/2) - u^(-1/2), and for a barred step only connected strips,
+whose delta_bar is one +-monomial.
 
 Kind D accepts only two barred patterns: no bars at all, or a leading
 [-1, -c, ...] pair followed by plain cycles; and its traces are defined
@@ -151,22 +154,23 @@ def l_prime(br: BrSequence) -> int:
 
 @cache
 def _removal_table(outer: BiPartition, size: int, bar_kind: str | None) -> tuple:
-    """(inner, factor) for every strip of `size` cells off outer whose
-    factor is nonzero, in the order the enumerator yields them.
+    """(inner, factor) for every strip of `size` cells off outer, in the
+    order the enumerator yields them.
 
     A plain step (bar_kind None) takes the broken strips scored by delta,
     which does not depend on the kind; a barred step takes the single
     strips scored by delta_bar, whose content factors do, so bar_kind is
-    "B" or "D".  factor is the value delta or delta_bar returns, shared, not
-    copied.  One table per key for the life of the process.
+    "B" or "D".  Every factor is nonzero, so none is filtered out: a shape
+    with no 2x2 block has delta = +-u^(e/2) * U^(m-1), and a connected
+    strip has a delta_bar equal to one +-monomial.  factor is the value
+    delta or delta_bar returns, shared, not copied.  One table per key for
+    the life of the process.
     """
-    plain = bar_kind is None
-    table = []
-    for inner, shape in (broken_strip_removals if plain else single_strip_removals)(outer, size):
-        factor = delta(shape) if plain else delta_bar(shape, bar_kind)
-        if factor:
-            table.append((inner, factor))
-    return tuple(table)
+    if bar_kind is None:
+        return tuple((inner, delta(shape)) for inner, shape in broken_strip_removals(outer, size))
+    return tuple(
+        (inner, delta_bar(shape, bar_kind)) for inner, shape in single_strip_removals(outer, size)
+    )
 
 
 class MNContext:
@@ -176,9 +180,11 @@ class MNContext:
     after another, so that they reuse each other's partial sums.  The
     memo_budget is a loose cap on stored entries; going past it raises
     ResourceGuardError instead of thrashing.  The memo is the context's
-    own; the strip-removal tables it reads are shared by every context in
-    the process.  steps holds (size, bar_kind) per segment, bar_kind being
-    None for a plain segment and the kind for a barred one.
+    own, and the budget bounds nothing else: the strip-removal tables it
+    reads, and the walk caches in shapes beneath them, are shared by every
+    context in the process, last as long as it and have no limit.  steps
+    holds (size, bar_kind) per segment, bar_kind being None for a plain
+    segment and the kind for a barred one.
     """
 
     def __init__(self, br: BrSequence, memo_budget: int | None = None):

@@ -31,9 +31,9 @@ Both statistics are computed from the rows alone, by these rules:
   every other row of length >= 2; the dull corners (a cell above and one to
   the left) are the last cell of every non-top row of length >= 2.
 
-The cell-based strip_classify, skew_cells and remove_strips are kept as a
-slower, independent oracle for these closed forms; the trace engine does
-not call them.
+A slower, cell-based version of both statistics and of the removal
+enumeration lives in tests/cells.py, as the tests' independent oracle for
+these closed forms; nothing in the package calls it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .halflaurent import HalfLaurent, ONE, U, ZERO, _from_clean, half_power, u_power
+from .halflaurent import HalfLaurent, ONE, U, ZERO, _from_clean, half_power
 
 __all__ = [
     "Partition",
@@ -54,12 +54,8 @@ __all__ = [
     "partitions_of",
     "bipartitions_of",
     "partitions_in_box",
-    "StripComponent",
-    "StripInfo",
-    "strip_classify",
     "delta",
     "delta_bar",
-    "remove_strips",
     "broken_strip_removals",
     "single_strip_removals",
 ]
@@ -94,16 +90,17 @@ class SkewBiShape(NamedTuple):
 
 
 def partition(parts) -> Partition:
-    """Normalize an iterable of integers into a partition tuple, dropping zeros."""
+    """Normalize an iterable of integers into a partition tuple, dropping
+    trailing zeros.  The order is checked before the zeros go, so a zero
+    ahead of a positive part is refused, not skipped."""
     parts = tuple(parts)
     if any(isinstance(x, bool) or not isinstance(x, int) for x in parts):
         raise ValueError(f"parts must be integers: {parts!r}")
-    p = tuple(x for x in parts if x != 0)
-    if any(x < 0 for x in p):
+    if any(x < 0 for x in parts):
         raise ValueError(f"negative part in {parts!r}")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise ValueError(f"parts not weakly decreasing: {parts!r}")
-    return p
+    return tuple(x for x in parts if x != 0)
 
 
 def bipartition(alpha, beta) -> BiPartition:
@@ -169,86 +166,6 @@ def partitions_in_box(rows: int, cols: int) -> tuple[Partition, ...]:
 
 
 # ---------------------------------------------------------------------------
-# cells and strip classification
-# ---------------------------------------------------------------------------
-
-
-def skew_cells(outer: Partition, inner: Partition) -> list[tuple[int, int]]:
-    """Cells of outer/inner as 1-indexed (row, col) pairs, row-major."""
-    cells = []
-    for i, op in enumerate(outer, start=1):
-        ip = inner[i - 1] if i - 1 < len(inner) else 0
-        cells.extend((i, j) for j in range(ip + 1, op + 1))
-    return cells
-
-
-class StripComponent(NamedTuple):
-    side: str  # "alpha" or "beta"
-    cells: frozenset
-    rows: int
-    cols: int
-    is_border_strip: bool
-
-
-class StripInfo(NamedTuple):
-    components: tuple[StripComponent, ...]
-    is_broken_border_strip: bool
-
-
-def _connected_components(cells: list[tuple[int, int]]) -> list[frozenset]:
-    remaining = set(cells)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        remaining.discard(seed)
-        while frontier:
-            i, j = frontier.pop()
-            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if nb in remaining:
-                    remaining.discard(nb)
-                    comp.add(nb)
-                    frontier.append(nb)
-        comps.append(frozenset(comp))
-    comps.sort(key=min)
-    return comps
-
-
-def _has_2x2(cells: frozenset) -> bool:
-    return any(
-        (i, j + 1) in cells and (i + 1, j) in cells and (i + 1, j + 1) in cells
-        for (i, j) in cells
-    )
-
-
-def strip_classify(x: SkewBiShape) -> StripInfo:
-    """Connected components of the skew shape, each with its row/column span.
-
-    Connectivity is horizontal/vertical adjacency within one side; a shape
-    meeting both alpha and beta always has at least two components.
-    """
-    comps: list[StripComponent] = []
-    for side in ("alpha", "beta"):
-        outer = getattr(x.outer, side)
-        inner = getattr(x.inner, side)
-        for cells in _connected_components(skew_cells(outer, inner)):
-            comps.append(
-                StripComponent(
-                    side=side,
-                    cells=cells,
-                    rows=len({i for i, _ in cells}),
-                    cols=len({j for _, j in cells}),
-                    is_border_strip=not _has_2x2(cells),
-                )
-            )
-    return StripInfo(
-        components=tuple(comps),
-        is_broken_border_strip=all(c.is_border_strip for c in comps),
-    )
-
-
-# ---------------------------------------------------------------------------
 # the delta statistics
 # ---------------------------------------------------------------------------
 
@@ -303,22 +220,14 @@ def delta(x: SkewBiShape) -> HalfLaurent:
     return _delta_value(m, (a[1] + b[1]) & 1, a[2] + b[2])
 
 
-def content(side: str, cell: tuple[int, int], kind: str) -> HalfLaurent:
-    """Content monomial of a cell: u^(j-i+1) on alpha, -u^(j-i) on beta for
-    kind B; the D variant drops the +1 on the alpha side."""
-    i, j = cell
-    if side == "alpha":
-        return u_power(j - i + (1 if kind == "B" else 0))
-    return u_power(j - i, -1)
-
-
 def delta_bar(x: SkewBiShape, kind: str) -> HalfLaurent:
     """Single-strip statistic with content factors at the corners.
 
     Nonzero only when the whole shape is one connected border strip:
     (u^(1/2))^(c-1) * (-u^(-1/2))^(r-1) * prod over dull corners of 1/ct
     * prod over sharp corners of ct, a single monomial.  The corners come
-    from the corner rule; ct is the content monomial of the cell.
+    from the corner rule; ct is the content monomial of the cell (i, j):
+    u^(j-i+1) on alpha (u^(j-i) for kind D) and -u^(j-i) on beta.
     """
     if kind not in ("B", "D"):
         raise ValueError(f"kind must be 'B' or 'D', got {kind!r}")
@@ -357,52 +266,6 @@ def _delta_bar_value(e: int, sign: int) -> HalfLaurent:
 # ---------------------------------------------------------------------------
 # removal enumeration
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _sub_partitions(outer: Partition, removed: int) -> tuple[Partition, ...]:
-    """All partitions inner with inner ⊆ outer and |outer| - |inner| = removed."""
-    total = sum(outer)
-    if removed > total:
-        return ()
-
-    acc: list[Partition] = []
-
-    def rows(i: int, prev: int, left: int, prefix: tuple):
-        if i == len(outer):
-            if left == 0:
-                acc.append(prefix)
-            return
-        # max removable from rows i.. is sum(outer[i:]); prune on that
-        if left > sum(outer[i:]):
-            return
-        hi = min(outer[i], prev)
-        for v in range(hi, -1, -1):
-            take = outer[i] - v
-            if take <= left:
-                rows(i + 1, v, left - take, prefix + ((v,) if v else ()))
-
-    rows(0, outer[0] if outer else 0, removed, ())
-    return tuple(sorted(acc))
-
-
-def remove_strips(outer: BiPartition, m: int) -> list[tuple[BiPartition, SkewBiShape]]:
-    """Every inner bipartition with |outer/inner| = m, with its skew shape.
-
-    All sub-bipartitions are produced; callers prune by delta or delta_bar
-    being zero.  Output is sorted lexicographically on the inner
-    bipartition.
-    """
-    if m > outer.size:
-        raise ValueError(f"cannot remove {m} cells from {outer} of size {outer.size}")
-    out = []
-    for j in range(m + 1):
-        for ia in _sub_partitions(outer.alpha, j):
-            for ib in _sub_partitions(outer.beta, m - j):
-                inner = BiPartition(ia, ib)
-                out.append((inner, SkewBiShape(outer, inner)))
-    out.sort(key=lambda pair: pair[0])
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -448,10 +311,11 @@ def _no_2x2_inners(outer: Partition, removed: int) -> tuple[Partition, ...]:
 def broken_strip_removals(outer: BiPartition, m: int) -> Iterator[tuple[BiPartition, SkewBiShape]]:
     """Inner bipartitions whose difference is a broken border strip of size m.
 
-    Pruned equivalent of filtering remove_strips by delta != 0; the two
-    agree (tested) and this one stays usable at rank 30.  Alpha gives up j
-    cells and beta m - j, each at most its room, so only sizes both sides
-    can supply are built.
+    Pruned equivalent of filtering every sub-bipartition by delta != 0; the
+    two agree (tested against the unpruned enumeration in tests/cells.py)
+    and this one stays usable at rank 30.  Alpha gives up j cells and beta
+    m - j, each at most its room, so only sizes both sides can supply are
+    built.
     """
     lo = max(0, m - _room(outer.beta)[0])
     for j in range(lo, min(m, _room(outer.alpha)[0]) + 1):
@@ -462,28 +326,23 @@ def broken_strip_removals(outer: BiPartition, m: int) -> Iterator[tuple[BiPartit
                 yield inner, SkewBiShape(outer, inner)
 
 
-@lru_cache(maxsize=None)
-def _connected_strip_inners(outer: Partition, removed: int) -> tuple[Partition, ...]:
-    if removed > _room(outer)[0]:
-        return ()
-    return tuple(
-        inner
-        for inner in _no_2x2_inners(outer, removed)
-        if _side_stats(outer, inner)[0] == 1
-    )
-
-
 def single_strip_removals(outer: BiPartition, m: int) -> Iterator[tuple[BiPartition, SkewBiShape]]:
     """Inner bipartitions whose difference is one connected border strip.
 
     The strip lives entirely in alpha or entirely in beta; these are the
-    only removals with delta_bar != 0.
+    only removals with delta_bar != 0.  A side is walked only when m is
+    within its room, so no walk comes back empty.
     """
     if m == 0:
         return
-    for ia in _connected_strip_inners(outer.alpha, m):
-        inner = BiPartition(ia, outer.beta)
-        yield inner, SkewBiShape(outer, inner)
-    for ib in _connected_strip_inners(outer.beta, m):
-        inner = BiPartition(outer.alpha, ib)
-        yield inner, SkewBiShape(outer, inner)
+    alpha, beta = outer
+    if m <= _room(alpha)[0]:
+        for ia in _no_2x2_inners(alpha, m):
+            if _side_stats(alpha, ia)[0] == 1:
+                inner = BiPartition(ia, beta)
+                yield inner, SkewBiShape(outer, inner)
+    if m <= _room(beta)[0]:
+        for ib in _no_2x2_inners(beta, m):
+            if _side_stats(beta, ib)[0] == 1:
+                inner = BiPartition(alpha, ib)
+                yield inner, SkewBiShape(outer, inner)

@@ -388,14 +388,14 @@ def enumerate_P_ab(a: int, b: int, unordered: bool = False) -> list:
 # ---------------------------------------------------------------------------
 
 
-def m2_unipotent(s: Symbol, kind: str, split: bool = True) -> int:
+def m2_unipotent(s: Symbol, kind: str) -> int:
     """Number of Weyl group elements pairing the character to itself twice;
     what matters downstream: 2^d1 (B) or 2^(d1-1) (D) on special symbols,
-    0 on the rest, and on degenerate kind D symbols 1 exactly when the
-    form is split."""
+    0 on the rest, and 1 on degenerate kind D symbols (the split form, the
+    only one the package covers)."""
     check_kind(kind)
     if kind == "D" and is_degenerate(s):
-        return 1 if split else 0
+        return 1
     if not is_special(s):
         return 0
     dec = family_decompose(s, kind)

@@ -1,8 +1,10 @@
 """Family-averaged trace sums, the rectangle route, and the verification
 reports built on top of them."""
 
+import ast
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,8 @@ from almostchar.symbols import (
     special_cuspidal,
     symbol_from_bipartition,
 )
+
+import cells
 
 bp = bipartition
 
@@ -169,11 +173,24 @@ def test_family_sums_start_no_thread(monkeypatch):
     assert f_lambda("B", lam_c, cycles, Config()) == delta_const("B", 2) * rect
 
 
-def test_trace_engine_never_falls_back_to_cells(monkeypatch):
-    # the cell-based classification is the tests' oracle; the engine runs on
-    # the closed forms alone
-    def refuse(*args, **kwargs):
-        raise AssertionError("the trace engine built a cell set")
+def test_trace_engine_runs_without_the_cell_oracle():
+    # the cell-based strip layer is the tests' oracle (tests/cells.py); the
+    # package defines none of it, imports none of it, and computes the same
+    # reports from cold caches as from warm ones
+    oracle = ("skew_cells", "StripComponent", "StripInfo", "_connected_components",
+              "_has_2x2", "strip_classify", "content", "_sub_partitions", "remove_strips")
+    assert all(hasattr(cells, name) for name in oracle)
+    assert [name for name in oracle if hasattr(shapes_module, name)] == []
+
+    for path in Path(shapes_module.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any(m.split(".")[-1] == "cells" for m in modules), (path.name, modules)
 
     def reports():
         return [
@@ -182,9 +199,7 @@ def test_trace_engine_never_falls_back_to_cells(monkeypatch):
         ]
 
     want = reports()
-    for name in ("strip_classify", "skew_cells", "_connected_components"):
-        monkeypatch.setattr(shapes_module, name, refuse)
-    for cached in ("_room", "_no_2x2_inners", "_connected_strip_inners"):
+    for cached in ("_room", "_no_2x2_inners"):
         getattr(shapes_module, cached).cache_clear()
     hecke_module._removal_table.cache_clear()
     assert reports() == want
@@ -204,7 +219,6 @@ def test_strip_enumeration_asks_only_for_sizes_a_side_can_supply(monkeypatch):
 
     monkeypatch.setattr(shapes_module, "_no_2x2_inners", recorded)
     walk.cache_clear()
-    shapes_module._connected_strip_inners.cache_clear()
     hecke_module._removal_table.cache_clear()
     recursion_check(5, 4, [8, 12])
     orthogonality_check(4)

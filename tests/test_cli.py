@@ -164,6 +164,9 @@ def test_resource_guards_exit_three(capsys):
         ["diagnose", "d-swap", "--n", "-1"],
         # one box side given both as a positional and as a flag
         ["enumerate", "pab", "2", "2", "--a", "3"],
+        # a zero ahead of a positive part, refused rather than dropped
+        ["mn", "eval", "--kind", "B", "--lambda", "[[1,0,1],[]]", "--cycles", "[-2]"],
+        ["mn", "eval", "--kind", "B", "--lambda", "[[0,2],[]]", "--cycles", "[-2]"],
     ],
 )
 def test_malformed_input_exit_two(capsys, argv):

@@ -31,10 +31,10 @@ from almostchar.shapes import (
     delta,
     delta_bar,
     partitions_of,
-    remove_strips,
     single_strip_removals,
 )
 
+from cells import remove_strips
 from seminormal import (
     build_b_generators,
     build_q1_generators,

@@ -1,7 +1,8 @@
 """Strip classification, the delta statistics and removal enumeration.
 
 The closed-form delta and delta_bar are checked against cell-based
-versions built on strip_classify, kept here as the oracle.
+versions built on strip_classify, and the pruned enumerations against
+remove_strips; the oracle lives in tests/cells.py.
 """
 
 import pytest
@@ -11,23 +12,26 @@ from hypothesis import strategies as st
 from almostchar.halflaurent import ONE, U, ZERO, half_power, u_power
 from almostchar.shapes import (
     BiPartition,
-    _has_2x2,
     _no_2x2_inners,
     _room,
-    _sub_partitions,
     bipartition,
     bipartitions_of,
     broken_strip_removals,
     conjugate,
-    content,
     delta,
     delta_bar,
     partition,
     partitions_in_box,
     partitions_of,
-    remove_strips,
     single_strip_removals,
     skew,
+)
+
+from cells import (
+    _has_2x2,
+    _sub_partitions,
+    content,
+    remove_strips,
     skew_cells,
     strip_classify,
 )
@@ -94,6 +98,11 @@ def test_partition_normalization():
         partition([1, 2])
     with pytest.raises(ValueError):
         partition([-1])
+    # a zero ahead of a positive part is refused, not dropped
+    with pytest.raises(ValueError):
+        partition([1, 0, 1])
+    with pytest.raises(ValueError):
+        partition([0, 2])
 
 
 def test_conjugate_examples():

@@ -407,8 +407,7 @@ def test_m2_values():
     lam_c, lam_0 = special_cuspidal("B", 1)
     assert m2_unipotent(lam_0, "B") == 2
     assert m2_unipotent(lam_c, "B") == 0
-    assert m2_unipotent(Symbol((1,), (1,)), "D", split=True) == 1
-    assert m2_unipotent(Symbol((1,), (1,)), "D", split=False) == 0
+    assert m2_unipotent(Symbol((1,), (1,)), "D") == 1
     _, lam_0d = special_cuspidal("D", 1)
     assert m2_unipotent(lam_0d, "D") == 2  # 2^(d1-1) with d1 = 2
 
