@@ -31,7 +31,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .config import Config
-from .halflaurent import ZERO, HalfLaurent, hl_exact_div
+from .halflaurent import ZERO, HalfLaurent, frac_str, hl_exact_div
 from .hecke import (
     BrSequence,
     MNContext,
@@ -73,12 +73,7 @@ __all__ = [
     "involution_check",
     "m2_check",
     "d_swap_diagnostic",
-    "frac_str",
 ]
-
-
-def frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 class VerificationReport(NamedTuple):

@@ -6,8 +6,15 @@ verification passed), 1 a verification ran and did not pass, 2 invalid
 input, 3 a resource guard tripped (raise --max-rank / --memo-budget to
 proceed).  With a fixed format and --no-timing the bytes are identical
 across runs.  Traces are evaluated in one thread; --workers is accepted
-and has no effect.  hashlib is imported only with --cache-dir, and csv
-only with --format csv.
+and has no effect.
+
+Start-up loads only what the command runs: this module needs argparse,
+json and config, and each handler imports the engine names it calls.
+--help loads nothing more; symbol, family list / pairing-matrix and
+enumerate commands load symbols (with shapes and halflaurent); mn eval
+loads hecke without symbols; flambda, fab, verify, diagnose and family
+involution-check load almost, and with it the whole engine.  hecke (and
+hashlib) load for --cache-dir, and csv only for --format csv.
 """
 
 from __future__ import annotations
@@ -16,23 +23,7 @@ import argparse
 import json
 import sys
 
-from . import almost
 from .config import Config, ResourceGuardError
-from .hecke import TraceCache, br_from_cycles, mn_trace
-from .shapes import BiPartition
-from .symbols import (
-    Symbol,
-    enumerate_P_ab,
-    enumerate_symbols,
-    family_decompose,
-    family_members,
-    is_degenerate,
-    is_special,
-    pairing,
-    rank_defect,
-    shift_canonicalize,
-    symbol_from_label,
-)
 
 __all__ = ["main"]
 
@@ -65,14 +56,16 @@ def _parse_row(text: str) -> list:
     return [int(x) for x in text.split(",")]
 
 
-def _parse_symbol(args) -> Symbol:
+def _parse_symbol(args):
+    from .symbols import shift_canonicalize
     if args.symbol is not None:
         obj = _json_arg(args.symbol, "--symbol")
         return shift_canonicalize(obj["S"], obj["T"])
     return shift_canonicalize(_parse_row(args.S or ""), _parse_row(args.T or ""))
 
 
-def _parse_bipartition(text: str) -> BiPartition:
+def _parse_bipartition(text: str):
+    from .shapes import BiPartition
     obj = _json_arg(text, "--lambda")
     if not (isinstance(obj, list) and len(obj) == 2):
         raise ValueError("--lambda must be a JSON pair [[...],[...]]")
@@ -94,6 +87,7 @@ def _parse_cycles(text: str) -> tuple:
 
 
 def _cmd_symbol_info(args, config, cache):
+    from .symbols import family_decompose, is_degenerate, is_special, rank_defect
     s = _parse_symbol(args)
     rank, defect = rank_defect(s)
     doc = {
@@ -118,6 +112,7 @@ def _cmd_symbol_info(args, config, cache):
 
 
 def _cmd_family_list(args, config, cache):
+    from .symbols import enumerate_symbols
     config.check_rank(args.n)
     fams = enumerate_symbols(args.n, args.kind)
     return 0, [fam.to_json_obj() for fam in fams]
@@ -125,19 +120,26 @@ def _cmd_family_list(args, config, cache):
 
 def _family_key(args):
     if args.symbol is not None:
+        from .symbols import family_decompose
         dec = family_decompose(_parse_symbol(args), args.kind)
         return dec.Z1, dec.Z2
     if args.Z1 is None:
         raise ValueError("give either --symbol or --Z1/--Z2")
-    return tuple(_parse_row(args.Z1)), tuple(_parse_row(args.Z2 or ""))
+    rows = _parse_row(args.Z1), _parse_row(args.Z2 or "")
+    for flag, row in zip(("--Z1", "--Z2"), rows):
+        if len(set(row)) != len(row):
+            raise ValueError(f"{flag} repeats an entry: {','.join(map(str, row))}")
+    return tuple(rows[0]), tuple(rows[1])
 
 
 def _cmd_family_pairing_matrix(args, config, cache):
+    from .halflaurent import frac_str
+    from .symbols import family_members, pairing, rank_defect, symbol_from_label
     z1, z2 = _family_key(args)
     config.check_rank(rank_defect(symbol_from_label(z1, z2, ()))[0])
     members = family_members(args.kind, z1, z2)
     matrix = [
-        [almost.frac_str(pairing(a, b, args.kind)) for b in members]
+        [frac_str(pairing(a, b, args.kind)) for b in members]
         for a in members
     ]
     doc = {
@@ -154,10 +156,12 @@ def _report_doc(args, report):
 
 
 def _cmd_family_involution_check(args, config, cache):
+    from . import almost
     return _report_doc(args, almost.involution_check(args.n, args.kind, config))
 
 
 def _cmd_mn_eval(args, config, cache):
+    from .hecke import br_from_cycles, mn_trace
     lam = _parse_bipartition(getattr(args, "lambda"))
     br = br_from_cycles(args.kind, _parse_cycles(args.cycles))
     value = mn_trace(args.kind, lam, br, config=config, cache_store=cache)
@@ -165,6 +169,8 @@ def _cmd_mn_eval(args, config, cache):
 
 
 def _cmd_flambda(args, config, cache):
+    from . import almost
+    from .halflaurent import frac_str
     s = _parse_symbol(args)
     cycles = _parse_cycles(args.cycles)
     value = almost.f_lambda(args.kind, s, cycles, config, cache)
@@ -173,12 +179,14 @@ def _cmd_flambda(args, config, cache):
         "symbol": s.to_json_obj(),
         "cycles": list(cycles),
         "value": value.to_json_obj(),
-        "value_at_1": almost.frac_str(value.eval_one()),
+        "value_at_1": frac_str(value.eval_one()),
     }
     return 0, doc
 
 
 def _cmd_fab(args, config, cache):
+    from . import almost
+    from .halflaurent import frac_str
     cycles = _parse_cycles(args.cycles)
     value = almost.f_ab(args.a, args.b, cycles, config, cache)
     doc = {
@@ -186,28 +194,32 @@ def _cmd_fab(args, config, cache):
         "b": args.b,
         "cycles": list(cycles),
         "value": value.to_json_obj(),
-        "value_at_1": almost.frac_str(value.eval_one()),
+        "value_at_1": frac_str(value.eval_one()),
     }
     return 0, doc
 
 
 def _cmd_verify_nonvanishing(kind):
     def handler(args, config, cache):
+        from . import almost
         return _report_doc(args, almost.verify_nonvanishing(kind, args.d, config, cache))
 
     return handler
 
 
 def _cmd_verify_recursion(args, config, cache):
+    from . import almost
     report = almost.recursion_check(args.a, args.b, _parse_cycles(args.cycles), config, cache)
     return _report_doc(args, report)
 
 
 def _cmd_verify_orthogonality(args, config, cache):
+    from . import almost
     return _report_doc(args, almost.orthogonality_check(args.n, config))
 
 
 def _cmd_verify_m2(args, config, cache):
+    from . import almost
     kinds = ("B", "D") if args.kind == "both" else (args.kind,)
     reports = [almost.m2_check(args.n, k, config) for k in kinds]
     code = 0 if all(r.passed for r in reports) else 1
@@ -216,6 +228,7 @@ def _cmd_verify_m2(args, config, cache):
 
 
 def _cmd_enumerate_pab(args, config, cache):
+    from .symbols import enumerate_P_ab
     if None not in (args.a, args.pos_a) or None not in (args.b, args.pos_b):
         raise ValueError("give each box side once, as a positional or as a flag")
     a = args.a if args.a is not None else args.pos_a
@@ -228,6 +241,7 @@ def _cmd_enumerate_pab(args, config, cache):
 
 
 def _cmd_diagnose_d_swap(args, config, cache):
+    from . import almost
     return _report_doc(args, almost.d_swap_diagnostic(args.n, config))
 
 
@@ -364,7 +378,10 @@ def main(argv=None) -> int:
         if args.workers < 0:
             raise ValueError("--workers must be >= 0")
         config = Config(max_rank=args.max_rank, memo_budget=args.memo_budget)
-        cache = TraceCache(args.cache_dir) if args.cache_dir else None
+        cache = None
+        if args.cache_dir:
+            from .hecke import TraceCache  # loaded only with --cache-dir
+            cache = TraceCache(args.cache_dir)
         code, doc = args.func(args, config, cache)
     except ResourceGuardError as e:
         print(f"almostchar: resource guard: {e}", file=sys.stderr)

@@ -29,7 +29,12 @@ __all__ = [
     "half_power",
     "u_power",
     "hl_exact_div",
+    "frac_str",
 ]
+
+
+def frac_str(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
 
 
 class HalfLaurent:

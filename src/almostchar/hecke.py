@@ -47,12 +47,12 @@ from .halflaurent import ONE, ZERO, HalfLaurent, _from_clean, half_power
 from .shapes import (
     BiPartition,
     broken_strip_removals,
+    check_kind,
     delta,
     delta_bar,
     partitions_of,
     single_strip_removals,
 )
-from .symbols import check_kind
 
 __all__ = [
     "BrEntry",

@@ -58,9 +58,16 @@ __all__ = [
     "delta_bar",
     "broken_strip_removals",
     "single_strip_removals",
+    "check_kind",
 ]
 
 Partition = tuple  # tuple of weakly decreasing positive ints
+
+
+def check_kind(kind: str) -> str:
+    if kind not in ("B", "D"):
+        raise ValueError(f"kind must be 'B' or 'D', got {kind!r}")
+    return kind
 
 
 class BiPartition(NamedTuple):
@@ -229,8 +236,7 @@ def delta_bar(x: SkewBiShape, kind: str) -> HalfLaurent:
     from the corner rule; ct is the content monomial of the cell (i, j):
     u^(j-i+1) on alpha (u^(j-i) for kind D) and -u^(j-i) on beta.
     """
-    if kind not in ("B", "D"):
-        raise ValueError(f"kind must be 'B' or 'D', got {kind!r}")
+    check_kind(kind)
     a = _side_stats(x.outer.alpha, x.inner.alpha)
     b = _side_stats(x.outer.beta, x.inner.beta)
     if a is None or b is None or a[0] + b[0] != 1:

@@ -31,7 +31,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .shapes import BiPartition, bipartitions_of, conjugate, partition, partitions_in_box
+from .shapes import (
+    BiPartition,
+    bipartitions_of,
+    check_kind,
+    conjugate,
+    partition,
+    partitions_in_box,
+)
 
 __all__ = [
     "Symbol",
@@ -54,12 +61,6 @@ __all__ = [
     "m2_unipotent",
     "check_kind",
 ]
-
-
-def check_kind(kind: str) -> str:
-    if kind not in ("B", "D"):
-        raise ValueError(f"kind must be 'B' or 'D', got {kind!r}")
-    return kind
 
 
 class Symbol(NamedTuple):

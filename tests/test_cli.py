@@ -167,6 +167,9 @@ def test_resource_guards_exit_three(capsys):
         # a zero ahead of a positive part, refused rather than dropped
         ["mn", "eval", "--kind", "B", "--lambda", "[[1,0,1],[]]", "--cycles", "[-2]"],
         ["mn", "eval", "--kind", "B", "--lambda", "[[0,2],[]]", "--cycles", "[-2]"],
+        # a repeated entry in either row of a family label
+        ["family", "pairing-matrix", "--kind", "B", "--Z1", "0,1,2", "--Z2", "5,5"],
+        ["family", "pairing-matrix", "--kind", "B", "--Z1", "0,0,1,2,3"],
     ],
 )
 def test_malformed_input_exit_two(capsys, argv):
@@ -207,23 +210,56 @@ def test_deep_recursion_exit_three():
     assert "Traceback" not in proc.stderr
 
 
-def test_start_up_skips_unneeded_imports():
-    # hashlib serves only --cache-dir and csv only --format csv, and the two
-    # records need no dataclasses (which pulls in inspect): a plain call
-    # must load none of them
+def _modules_loaded_by(argv) -> set:
+    """The modules that importing the CLI and running `argv` load, in a
+    fresh interpreter; the call must exit 0."""
     script = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
         "from almostchar.cli import main\n"
-        "main(['verify', 'prop713', '--d', '1', '--no-timing'])\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        "try:\n"
+        f"    code = main({argv!r})\n"
+        "except SystemExit as e:\n"
+        "    code = e.code\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(almostchar.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(loaded)
+
+
+def test_start_up_skips_unneeded_imports():
+    # hashlib serves only --cache-dir and csv only --format csv, and the two
+    # records need no dataclasses (which pulls in inspect): a plain call
+    # must load none of them
+    loaded = _modules_loaded_by(["verify", "prop713", "--d", "1", "--no-timing"])
     assert loaded & {"dataclasses", "inspect", "hashlib", "csv"} == set()
+
+
+ENGINE = {f"almostchar.{m}" for m in ("halflaurent", "shapes", "symbols", "hecke", "almost")}
+TRACING = {"almostchar.hecke", "almostchar.almost"}
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["--help"], ENGINE | {"fractions"}),
+        (["symbol", "info", "--S", "0,2", "--T", "1", "--kind", "B"], TRACING),
+        (["family", "list", "--kind", "B", "--n", "3"], TRACING),
+        (["family", "pairing-matrix", "--kind", "B", "--Z1", "0,1,2"], TRACING),
+        (["enumerate", "pab", "2", "2"], TRACING),
+        (["mn", "eval", "--kind", "B", "--lambda", "[[1,1],[]]", "--cycles", "[-2]"],
+         {"almostchar.symbols", "almostchar.almost"}),
+    ],
+)
+def test_command_loads_only_the_modules_it_runs(argv, unloaded):
+    # each command imports the engine names it calls, so a command that
+    # computes no trace compiles neither hecke nor almost
+    assert _modules_loaded_by(argv) & unloaded == set()
 
 
 def test_output_formats(capsys):

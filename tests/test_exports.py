@@ -1,16 +1,33 @@
 """The package's public names: every name a module lists in __all__, and
-every name the package __init__ imports, exists."""
+every name the package exports, exists and is its home module's object."""
 
-import ast
 import importlib
 import pkgutil
-from pathlib import Path
+
+import pytest
 
 import almostchar
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(almostchar.__path__) if info.name != "__main__"
 )
+
+#: every name the package exports, by the module that defines it
+EXPORTS = {
+    "config": ["Config", "ResourceGuardError"],
+    "halflaurent": ["ONE", "U", "ZERO", "HalfLaurent", "half_power", "hl_exact_div", "u_power"],
+    "shapes": ["BiPartition", "SkewBiShape", "bipartition", "bipartitions_of", "conjugate",
+               "delta", "delta_bar", "partition", "partitions_of"],
+    "symbols": ["Family", "FamilyDecomposition", "Symbol", "bipartition_from_symbol",
+                "enumerate_P_ab", "enumerate_symbols", "family_decompose", "family_members",
+                "is_special", "m2_unipotent", "pairing", "rank_defect", "shift_canonicalize",
+                "special_cuspidal", "symbol_from_bipartition"],
+    "hecke": ["BrSequence", "MNContext", "TraceCache", "br_from_cycles", "centralizer_order_B",
+              "class_reps", "cycles_from_br", "l_prime", "mn_trace", "st_bitableaux"],
+    "almost": ["VerificationReport", "cuspidal_pair_sign", "delta_const", "d_swap_diagnostic",
+               "f_ab", "f_cuspidal_via_rectangles", "f_lambda", "involution_check", "m2_check",
+               "orthogonality_check", "prop_cycles", "recursion_check", "verify_nonvanishing"],
+}
 
 
 def test_every_name_in_all_resolves():
@@ -22,14 +39,19 @@ def test_every_name_in_all_resolves():
 
 
 def test_every_name_the_package_imports_resolves():
-    tree = ast.parse(Path(almostchar.__file__).read_text())
-    imported = [
-        (node.module, alias.name, alias.asname or alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    assert imported
-    for module, name, bound in imported:
-        assert hasattr(importlib.import_module(f"almostchar.{module}"), name), (module, name)
-        assert hasattr(almostchar, bound), bound
+    names = [name for names in EXPORTS.values() for name in names]
+    assert len(names) == len(set(names)) == 56
+    assert sorted(almostchar.__all__) == sorted(names)
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"almostchar.{module}")
+        for name in names:
+            assert getattr(almostchar, name) is getattr(home, name), (module, name)
+    with pytest.raises(AttributeError):
+        almostchar.no_such_name
+    # the lazy table does not answer for a submodule, so `from almostchar
+    # import <submodule>` falls back to importing it
+    with pytest.raises(AttributeError):
+        almostchar.__getattr__("hecke")
+    from almostchar import hecke
+
+    assert hecke is importlib.import_module("almostchar.hecke")
