@@ -119,16 +119,18 @@ def _cmd_family_list(args, config, cache):
 
 
 def _family_key(args):
-    if args.symbol is not None:
+    if args.symbol is not None or args.S is not None or args.T is not None:
         from .symbols import family_decompose
         dec = family_decompose(_parse_symbol(args), args.kind)
         return dec.Z1, dec.Z2
     if args.Z1 is None:
-        raise ValueError("give either --symbol or --Z1/--Z2")
+        raise ValueError("give either --symbol, --S/--T or --Z1/--Z2")
     rows = _parse_row(args.Z1), _parse_row(args.Z2 or "")
     for flag, row in zip(("--Z1", "--Z2"), rows):
         if len(set(row)) != len(row):
             raise ValueError(f"{flag} repeats an entry: {','.join(map(str, row))}")
+        if any(x < 0 for x in row):
+            raise ValueError(f"{flag} has a negative entry: {','.join(map(str, row))}")
     return tuple(rows[0]), tuple(rows[1])
 
 

@@ -20,8 +20,9 @@ class Config(NamedTuple("Limits", [("max_rank", int), ("memo_budget", int)])):
     the number of memo entries one trace context may store.
 
     The memo budget caps each trace context's memo only.  The strip-removal
-    tables (hecke._removal_table) and the walk caches (shapes._room and
-    shapes._no_2x2_inners) last as long as the process and have no limit.
+    tables (hecke._removal_table) and the walk caches (shapes._room, and
+    shapes._no_2x2_inners with each inner's strip statistics) last as long
+    as the process and have no limit.
     """
 
     __slots__ = ()

@@ -48,8 +48,6 @@ from .shapes import (
     BiPartition,
     broken_strip_removals,
     check_kind,
-    delta,
-    delta_bar,
     partitions_of,
     single_strip_removals,
 )
@@ -153,24 +151,26 @@ def l_prime(br: BrSequence) -> int:
 
 
 @cache
-def _removal_table(outer: BiPartition, size: int, bar_kind: str | None) -> tuple:
-    """(inner, factor) for every strip of `size` cells off outer, in the
-    order the enumerator yields them.
+def _removal_table(outer: BiPartition, size: int, bar_kind: str | None) -> tuple[tuple, tuple]:
+    """(inners, factors): every strip of `size` cells off outer, as parallel
+    tuples in the order the enumerator yields them.
 
     A plain step (bar_kind None) takes the broken strips scored by delta,
     which does not depend on the kind; a barred step takes the single
     strips scored by delta_bar, whose content factors do, so bar_kind is
-    "B" or "D".  Every factor is nonzero, so none is filtered out: a shape
-    with no 2x2 block has delta = +-u^(e/2) * U^(m-1), and a connected
-    strip has a delta_bar equal to one +-monomial.  factor is the value
-    delta or delta_bar returns, shared, not copied.  One table per key for
-    the life of the process.
+    "B" or "D".  The enumerators score each strip from the statistics the
+    shapes walk gathered for its sides, and every factor is nonzero, so
+    none is filtered out: a shape with no 2x2 block has delta =
+    +-u^(e/2) * U^(m-1), and a connected strip has a delta_bar equal to one
+    +-monomial.  Each factor is a shared value, not a copy.  One table per
+    key for the life of the process, with no limit, like the walk cache
+    beneath it.
     """
     if bar_kind is None:
-        return tuple((inner, delta(shape)) for inner, shape in broken_strip_removals(outer, size))
-    return tuple(
-        (inner, delta_bar(shape, bar_kind)) for inner, shape in single_strip_removals(outer, size)
-    )
+        pairs = broken_strip_removals(outer, size)
+    else:
+        pairs = single_strip_removals(outer, size, bar_kind)
+    return tuple(zip(*pairs)) or ((), ())
 
 
 class MNContext:
@@ -181,8 +181,9 @@ class MNContext:
     memo_budget is a loose cap on stored entries; going past it raises
     ResourceGuardError instead of thrashing.  The memo is the context's
     own, and the budget bounds nothing else: the strip-removal tables it
-    reads, and the walk caches in shapes beneath them, are shared by every
-    context in the process, last as long as it and have no limit.  steps
+    reads, and the walk caches in shapes beneath them (each walk's inners
+    with their strip statistics), are shared by every context in the
+    process, last as long as it and have no limit.  steps
     holds (size, bar_kind) per segment, bar_kind being None for a plain
     segment and the kind for a barred one.
     """
@@ -212,7 +213,7 @@ class MNContext:
         if hit is not None:
             return hit
         acc: dict = {}
-        for inner, factor in _removal_table(outer, *self.steps[k - 1]):
+        for inner, factor in zip(*_removal_table(outer, *self.steps[k - 1])):
             for k2, c2 in self.chain_sum(inner, k - 1)._terms.items():
                 for k1, c1 in factor._terms.items():
                     acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
@@ -375,7 +376,7 @@ def st_bitableaux(lam: BiPartition) -> int:
     """Standard bitableaux count, by peeling single boxes."""
     if lam.size == 0:
         return 1
-    return sum(st_bitableaux(inner) for inner, _ in single_strip_removals(lam, 1))
+    return sum(st_bitableaux(inner) for inner, _ in single_strip_removals(lam, 1, "B"))
 
 
 def identity_cycles(n: int) -> tuple:

@@ -17,7 +17,9 @@ statistics delta (broken strips) and delta_bar (single strips, decorated
 with content factors at sharp and dull corners) are the building blocks of
 the character recursions in the hecke module.
 
-Both statistics are computed from the rows alone, by these rules:
+Both statistics are computed from the rows alone, by these rules (a
+side's statistics are m, the number of components, joins, the number of
+adjacent rows that share a column, and e, the exponent of u^(1/2)):
 
 * row criterion: rows i and i+1 of outer/inner hold a 2x2 block exactly
   when inner_i < outer_{i+1} - 1; without one, they are connected exactly
@@ -30,6 +32,13 @@ Both statistics are computed from the rows alone, by these rules:
   to the left) are the first cell of the top row and the first cell of
   every other row of length >= 2; the dull corners (a cell above and one to
   the left) are the last cell of every non-top row of length >= 2.
+
+The strip enumerators score their removals without building a skew
+shape: the walk that finds a side's inners of one size gathers each
+inner's statistics as it chooses the rows (cached per side and size, for
+the life of the process), and a removal is scored from the triples of its
+two sides.  delta and delta_bar score an arbitrary skew shape by one scan
+of its rows (_side_stats), which the tests also hold the walk to.
 
 A slower, cell-based version of both statistics and of the removal
 enumeration lives in tests/cells.py, as the tests' independent oracle for
@@ -127,10 +136,14 @@ def _contains(outer: Partition, inner: Partition) -> bool:
 
 
 def conjugate(p: Partition) -> Partition:
-    """Transpose of the Young diagram."""
-    if not p:
-        return ()
-    return tuple(sum(1 for x in p if x > j) for j in range(p[0]))
+    """Transpose of the Young diagram, counting down the rows: the columns
+    p_{i+1} + 1 .. p_i have exactly i cells."""
+    out: list[int] = []
+    below = 0
+    for i in range(len(p), 0, -1):
+        out += [i] * (p[i - 1] - below)
+        below = p[i - 1]
+    return tuple(out)
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
@@ -183,10 +196,8 @@ def _side_stats(outer: Partition, inner: Partition) -> tuple[int, int, int] | No
 
     One pass over the rows by the row criterion.  A border strip of r rows
     spans c = cells - r + 1 columns, so the last entry is the sum of
-    (c-1) - (r-1), the exponent of u^(1/2) in delta.  Not cached: the trace
-    engine scores each removal once, while hecke builds its shared removal
-    table, and on the rank-30 recursion a cache here raised peak memory by
-    about 0.45 MB without a measurable saving in time.
+    (c-1) - (r-1), the exponent of u^(1/2) in delta.  The strip enumerators
+    do not call it: their walk gathers the same triple row by row.
     """
     rows = joins = cells = 0
     last = len(outer) - 1
@@ -242,11 +253,17 @@ def delta_bar(x: SkewBiShape, kind: str) -> HalfLaurent:
     if a is None or b is None or a[0] + b[0] != 1:
         return ZERO
     if a[0]:
-        outer, inner, (_, joins, e) = x.outer.alpha, x.inner.alpha, a
-        shift, coeff = (1 if kind == "B" else 0), 1
-    else:
-        outer, inner, (_, joins, e) = x.outer.beta, x.inner.beta, b
-        shift, coeff = 0, -1
+        return _strip_value(x.outer.alpha, x.inner.alpha, a, 1 if kind == "B" else 0, 1)
+    return _strip_value(x.outer.beta, x.inner.beta, b, 0, -1)
+
+
+def _strip_value(
+    outer: Partition, inner: Partition, stats: tuple, shift: int, coeff: int
+) -> HalfLaurent:
+    """delta_bar of the one border strip outer/inner on one side, whose
+    _side_stats are stats, by the corner rule; the side's content of cell
+    (i, j) is coeff * u^(j-i+shift)."""
+    _, joins, e = stats
     sign = -1 if joins & 1 else 1
     top = True
     for i, o in enumerate(outer):  # row i + 1, cells in columns left + 1 .. o
@@ -286,69 +303,113 @@ def _room(outer: Partition) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _no_2x2_inners(outer: Partition, removed: int) -> tuple[Partition, ...]:
-    """Sub-partitions inner with |outer/inner| = removed and no 2x2 block.
+def _no_2x2_inners(outer: Partition, removed: int) -> tuple[tuple, tuple]:
+    """(inners, stats): the sub-partitions inner with |outer/inner| = removed
+    and no 2x2 block, in sorted order, and each one's _side_stats triple.
 
     Row i keeps v cells with max(outer_{i+1} - 1, 0) <= v (the row
     criterion) and leaves at most room[i+1] cells to the rows below, so the
-    walk builds only inners of the requested size, in sorted order.
+    walk builds only inners of the requested size.  It is depth first and
+    goes on in place with the smallest v, leaving the larger ones on the
+    stack, so inners come out sorted and a row with one choice (most rows,
+    for long strips) costs no push.  Once no cells are left to take, the
+    rows below are kept whole, which the row above allows unless it joins
+    them.  The statistics are gathered on the way: row i is in the strip
+    when v < outer_i and joins row i+1 when v == outer_{i+1} - 1; the cells
+    number `removed`.  Equal triples are one shared object.
     """
     room = _room(outer)
     if removed > room[0]:
-        return ()
-    acc: list[Partition] = []
+        return (), ()
     n_rows = len(outer)
+    inners: list[Partition] = []
+    stats: list[tuple[int, int, int]] = []
+    # (row, v of the row above, cells left to take, inner so far, rows, joins)
+    stack = [(0, outer[0] if outer else 0, removed, (), 0, 0)]
+    while stack:
+        i, prev, left, prefix, rows, joins = stack.pop()
+        while left:  # left <= room[i] and prev >= outer[i] - 1, so lo <= hi
+            o = outer[i]
+            join = outer[i + 1] - 1 if i + 1 < n_rows else -1
+            lo = o - left
+            hi = lo + room[i + 1]  # bounds as conditionals: min and max cost a call per row
+            if lo < join:  # the row criterion
+                lo = join
+            if lo < 0:
+                lo = 0
+            if hi > prev:
+                hi = prev
+            if hi > o:
+                hi = o
+            for v in range(hi, lo, -1):
+                stack.append((i + 1, v, left - o + v, prefix + (v,) if v else prefix,
+                              rows + (v < o), joins + (v == join)))
+            i += 1
+            prev = lo
+            left -= o - lo
+            if lo:
+                prefix += (lo,)
+            rows += lo < o
+            joins += lo == join
+        if i == n_rows or prev >= outer[i]:
+            inners.append(prefix + outer[i:])
+            stats.append(_triple(rows - joins, joins, removed - rows - joins))
+    return tuple(inners), tuple(stats)
 
-    def rows(i: int, prev: int, left: int, prefix: tuple):
-        if i == n_rows:
-            acc.append(prefix)
-            return
-        o = outer[i]
-        floor_i = outer[i + 1] - 1 if i + 1 < n_rows else 0
-        lo = max(floor_i, o - left)
-        hi = min(o, prev, o - left + room[i + 1])
-        for v in range(lo, hi + 1):
-            rows(i + 1, v, left - o + v, prefix + ((v,) if v else ()))
 
-    rows(0, outer[0] if outer else 0, removed, ())
-    return tuple(acc)
+@lru_cache(maxsize=None)
+def _triple(m: int, joins: int, e: int) -> tuple[int, int, int]:
+    """The one shared (m, joins, e) statistics triple per value."""
+    return m, joins, e
 
 
-def broken_strip_removals(outer: BiPartition, m: int) -> Iterator[tuple[BiPartition, SkewBiShape]]:
-    """Inner bipartitions whose difference is a broken border strip of size m.
+def broken_strip_removals(
+    outer: BiPartition, m: int
+) -> Iterator[tuple[BiPartition, HalfLaurent]]:
+    """(inner, delta) for every inner bipartition whose difference with
+    outer is a broken border strip of size m.
 
     Pruned equivalent of filtering every sub-bipartition by delta != 0; the
     two agree (tested against the unpruned enumeration in tests/cells.py)
     and this one stays usable at rank 30.  Alpha gives up j cells and beta
     m - j, each at most its room, so only sizes both sides can supply are
-    built.
+    built.  Each side's statistics come from its walk, so a pair is scored
+    by adding two triples: delta is ONE on the empty strip and
+    _delta_value(m, parity of joins, e) otherwise.
     """
+    if m == 0:
+        yield outer, ONE
+        return
     lo = max(0, m - _room(outer.beta)[0])
     for j in range(lo, min(m, _room(outer.alpha)[0]) + 1):
-        inners_b = _no_2x2_inners(outer.beta, m - j)
-        for ia in _no_2x2_inners(outer.alpha, j):
-            for ib in inners_b:
-                inner = BiPartition(ia, ib)
-                yield inner, SkewBiShape(outer, inner)
+        inners_b, stats_b = _no_2x2_inners(outer.beta, m - j)
+        inners_a, stats_a = _no_2x2_inners(outer.alpha, j)
+        for ia, (ma, ja, ea) in zip(inners_a, stats_a):
+            for ib, (mb, jb, eb) in zip(inners_b, stats_b):
+                yield BiPartition(ia, ib), _delta_value(ma + mb, (ja + jb) & 1, ea + eb)
 
 
-def single_strip_removals(outer: BiPartition, m: int) -> Iterator[tuple[BiPartition, SkewBiShape]]:
-    """Inner bipartitions whose difference is one connected border strip.
+def single_strip_removals(
+    outer: BiPartition, m: int, kind: str
+) -> Iterator[tuple[BiPartition, HalfLaurent]]:
+    """(inner, delta_bar) for every inner bipartition whose difference with
+    outer is one connected border strip of size m.
 
     The strip lives entirely in alpha or entirely in beta; these are the
     only removals with delta_bar != 0.  A side is walked only when m is
-    within its room, so no walk comes back empty.
+    within its room, so no walk comes back empty; its inners with one
+    component are scored by the corner rule.
     """
+    check_kind(kind)
     if m == 0:
         return
     alpha, beta = outer
     if m <= _room(alpha)[0]:
-        for ia in _no_2x2_inners(alpha, m):
-            if _side_stats(alpha, ia)[0] == 1:
-                inner = BiPartition(ia, beta)
-                yield inner, SkewBiShape(outer, inner)
+        shift = 1 if kind == "B" else 0
+        for ia, stats in zip(*_no_2x2_inners(alpha, m)):
+            if stats[0] == 1:
+                yield BiPartition(ia, beta), _strip_value(alpha, ia, stats, shift, 1)
     if m <= _room(beta)[0]:
-        for ib in _no_2x2_inners(beta, m):
-            if _side_stats(beta, ib)[0] == 1:
-                inner = BiPartition(alpha, ib)
-                yield inner, SkewBiShape(outer, inner)
+        for ib, stats in zip(*_no_2x2_inners(beta, m)):
+            if stats[0] == 1:
+                yield BiPartition(alpha, ib), _strip_value(beta, ib, stats, 0, -1)

@@ -199,7 +199,7 @@ def test_trace_engine_runs_without_the_cell_oracle():
         ]
 
     want = reports()
-    for cached in ("_room", "_no_2x2_inners"):
+    for cached in ("_room", "_no_2x2_inners", "_triple", "_delta_value", "_delta_bar_value"):
         getattr(shapes_module, cached).cache_clear()
     hecke_module._removal_table.cache_clear()
     assert reports() == want
@@ -212,10 +212,10 @@ def test_strip_enumeration_asks_only_for_sizes_a_side_can_supply(monkeypatch):
     walk = shapes_module._no_2x2_inners
 
     def recorded(outer, removed):
-        inners = walk(outer, removed)
+        inners, stats = walk(outer, removed)
         if not inners:
             empty.append((outer, removed))
-        return inners
+        return inners, stats
 
     monkeypatch.setattr(shapes_module, "_no_2x2_inners", recorded)
     walk.cache_clear()
@@ -227,16 +227,16 @@ def test_strip_enumeration_asks_only_for_sizes_a_side_can_supply(monkeypatch):
 
 
 def test_each_removal_table_is_enumerated_once_per_process(monkeypatch):
-    # the contexts of a sweep share one table per (outer, size, bar_kind);
-    # the sweep is kind B only, so the enumerator and (outer, size) name it
+    # the contexts of a sweep share one table per (outer, size, bar_kind),
+    # so no enumerator is asked twice for the same arguments
     asked = []
 
     def recorded(name):
         enumerate_strips = getattr(hecke_module, name)
 
-        def enumerate_recorded(outer, size):
-            asked.append((name, outer, size))
-            return enumerate_strips(outer, size)
+        def enumerate_recorded(outer, size, *kind):
+            asked.append((name, outer, size, *kind))
+            return enumerate_strips(outer, size, *kind)
 
         return enumerate_recorded
 
@@ -245,7 +245,7 @@ def test_each_removal_table_is_enumerated_once_per_process(monkeypatch):
         monkeypatch.setattr(hecke_module, name, recorded(name))
     hecke_module._removal_table.cache_clear()
     assert orthogonality_check(4).to_json_obj(include_timing=False) == want
-    assert {name for name, _, _ in asked} == {"broken_strip_removals", "single_strip_removals"}
+    assert {args[0] for args in asked} == {"broken_strip_removals", "single_strip_removals"}
     assert len(set(asked)) == len(asked)
 
 

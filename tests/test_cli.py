@@ -63,6 +63,14 @@ def test_family_list_and_pairing_matrix(capsys):
     assert len(obj["members"]) == 4
     assert len(obj["matrix"]) == 4
 
+    # the family can also be named by a member, as two rows or as one object
+    by_rows = ["family", "pairing-matrix", "--kind", "B", "--S", "0,1,2", "--T", ""]
+    by_object = ["family", "pairing-matrix", "--kind", "B", "--symbol", '{"S":[0,1,2],"T":[]}']
+    code, rows_out, _ = run(capsys, by_rows)
+    assert code == 0
+    assert run(capsys, by_object) == (0, rows_out, "")
+    assert rows_out == out
+
 
 def test_family_involution_check_exit_zero(capsys):
     code, out, _ = run(
@@ -170,6 +178,9 @@ def test_resource_guards_exit_three(capsys):
         # a repeated entry in either row of a family label
         ["family", "pairing-matrix", "--kind", "B", "--Z1", "0,1,2", "--Z2", "5,5"],
         ["family", "pairing-matrix", "--kind", "B", "--Z1", "0,0,1,2,3"],
+        # a negative entry in either row: symbols have nonnegative entries
+        ["family", "pairing-matrix", "--kind", "B", "--Z1", "0,1,-2"],
+        ["family", "pairing-matrix", "--kind", "B", "--Z1", "0,1,2", "--Z2", "-1"],
     ],
 )
 def test_malformed_input_exit_two(capsys, argv):

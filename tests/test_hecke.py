@@ -27,11 +27,9 @@ from almostchar.hecke import (
 from almostchar.shapes import (
     bipartition,
     bipartitions_of,
-    broken_strip_removals,
     delta,
     delta_bar,
     partitions_of,
-    single_strip_removals,
 )
 
 from cells import remove_strips
@@ -325,8 +323,9 @@ def test_traces_have_int_coefficients(tmp_path):
 
 class SummingContext(MNContext):
     """The chain sum as a plain sum of delta * sub through the public ring
-    operations, with the size test up front: the engine before the memo
-    entries were accumulated in place."""
+    operations, with the size test up front, over the unpruned removals of
+    tests/cells.py scored by delta and delta_bar: the engine before the memo
+    entries were accumulated in place, and apart from the strip enumerators."""
 
     def __init__(self, br):
         super().__init__(br)
@@ -345,16 +344,10 @@ class SummingContext(MNContext):
             return hit
         size, barred = self.steps[k - 1]
         total = ZERO
-        if barred:
-            for inner, shape in single_strip_removals(outer, size):
-                factor = delta_bar(shape, self.kind)
-                if factor:
-                    total = total + factor * self.chain_sum(inner, k - 1)
-        else:
-            for inner, shape in broken_strip_removals(outer, size):
-                factor = delta(shape)
-                if factor:
-                    total = total + factor * self.chain_sum(inner, k - 1)
+        for inner, shape in remove_strips(outer, size):
+            factor = delta_bar(shape, self.kind) if barred else delta(shape)
+            if factor:
+                total = total + factor * self.chain_sum(inner, k - 1)
         self._memo[key] = total
         return total
 
@@ -422,21 +415,21 @@ def test_chain_sum_is_zero_off_the_prefix_size():
 def test_removal_table_matches_filtered_unpruned_enumeration(outer):
     table = hecke_module._removal_table
     table.cache_clear()
+    # the enumeration order, so each memo entry is built as before: broken
+    # strips by the cells alpha gives up, ascending, then by inner; single
+    # strips in alpha before those in beta, then by inner
     steps = (
-        (None, broken_strip_removals, delta),
-        ("B", single_strip_removals, lambda shape: delta_bar(shape, "B")),
-        ("D", single_strip_removals, lambda shape: delta_bar(shape, "D")),
+        (None, delta, lambda inner: sum(outer.alpha) - sum(inner.alpha)),
+        ("B", lambda shape: delta_bar(shape, "B"), lambda inner: inner.alpha == outer.alpha),
+        ("D", lambda shape: delta_bar(shape, "D"), lambda inner: inner.alpha == outer.alpha),
     )
     for m in range(outer.size + 1):
-        naive = remove_strips(outer, m)
-        for bar_kind, enumerate_strips, score in steps:
-            got = table(outer, m, bar_kind)
+        naive = remove_strips(outer, m)  # sorted by inner
+        for bar_kind, score, order in steps:
+            inners, factors = table(outer, m, bar_kind)
             want = [(inner, score(shape)) for inner, shape in naive if score(shape)]
-            assert sorted(got, key=lambda pair: pair[0]) == want, (outer, m, bar_kind)
-            # the enumerator's order, so each memo entry is built as before
-            assert [inner for inner, _ in got] == [
-                inner for inner, shape in enumerate_strips(outer, m) if score(shape)
-            ]
+            want.sort(key=lambda pair: order(pair[0]))
+            assert list(zip(inners, factors)) == want, (outer, m, bar_kind)
     # plain, barred B and barred D are separate entries for every size
     assert table.cache_info().currsize == 3 * (outer.size + 1)
 

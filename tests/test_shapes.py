@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from almostchar.halflaurent import ONE, U, ZERO, half_power, u_power
 from almostchar.shapes import (
     BiPartition,
+    SkewBiShape,
     _no_2x2_inners,
     _room,
+    _side_stats,
     bipartition,
     bipartitions_of,
     broken_strip_removals,
@@ -85,7 +87,7 @@ def skew_bipartitions(draw):
     nonzero values are well represented."""
     outer = BiPartition(draw(partitions_strategy), draw(partitions_strategy))
     m = draw(st.integers(0, outer.size))
-    strips = [shape for _, shape in broken_strip_removals(outer, m)]
+    strips = [SkewBiShape(outer, inner) for inner, _ in broken_strip_removals(outer, m)]
     if strips and draw(st.booleans()):
         return draw(st.sampled_from(strips))
     return draw(st.sampled_from([shape for _, shape in remove_strips(outer, m)]))
@@ -114,6 +116,16 @@ def test_conjugate_examples():
 @given(partitions_strategy)
 def test_conjugate_is_an_involution(p):
     assert conjugate(conjugate(p)) == p
+
+
+def test_conjugate_transposes_the_cells():
+    for n in range(13):
+        for p in partitions_of(n):
+            cells = {(j, i) for i, part in enumerate(p) for j in range(part)}
+            columns = p[0] if p else 0
+            want = tuple(sum(1 for row, _ in cells if row == j) for j in range(columns))
+            assert conjugate(p) == want, p
+            assert conjugate(want) == p, p
 
 
 def test_skew_containment_checked():
@@ -186,6 +198,8 @@ def test_closed_forms_match_cells_up_to_rank_7():
 
 
 def test_no_2x2_inners_match_filtered_sub_partitions():
+    # the walk's inners are the filtered sub-partitions in sorted order, and
+    # the statistics it gathers on the way are those of _side_stats
     for n in range(13):
         for outer in partitions_of(n):
             for r in range(n + 2):
@@ -193,7 +207,9 @@ def test_no_2x2_inners_match_filtered_sub_partitions():
                     p for p in _sub_partitions(outer, r)
                     if not _has_2x2(frozenset(skew_cells(outer, p)))
                 )
-                assert _no_2x2_inners(outer, r) == want, (outer, r)
+                inners, stats = _no_2x2_inners(outer, r)
+                assert inners == want, (outer, r)
+                assert stats == tuple(_side_stats(outer, p) for p in inners), (outer, r)
 
 
 def test_every_size_up_to_the_room_occurs():
@@ -205,8 +221,8 @@ def test_every_size_up_to_the_room_occurs():
             room = sum(o - max(b - 1, 0) for o, b in zip(outer, below))
             assert _room(outer)[0] == room, outer
             for r in range(room + 1):
-                assert _no_2x2_inners(outer, r), (outer, r)
-            assert _no_2x2_inners(outer, room + 1) == (), outer
+                assert _no_2x2_inners(outer, r)[0], (outer, r)
+            assert _no_2x2_inners(outer, room + 1) == ((), ()), outer
 
 
 def test_content_conventions():
@@ -242,19 +258,18 @@ def outer_and_size(draw):
 @given(outer_and_size())
 def test_pruned_broken_enumeration_matches_filtered_naive(case):
     outer, m = case
-    naive = [inner for inner, shape in remove_strips(outer, m) if not delta(shape).is_zero()]
-    pruned = sorted(inner for inner, _ in broken_strip_removals(outer, m))
-    assert pruned == naive
+    naive = [(inner, delta(shape)) for inner, shape in remove_strips(outer, m)]
+    pruned = sorted(broken_strip_removals(outer, m), key=lambda pair: pair[0])
+    assert pruned == [(inner, factor) for inner, factor in naive if factor]
 
 
 @given(outer_and_size())
 def test_pruned_single_strip_enumeration_matches_filtered_naive(case):
     outer, m = case
-    naive = [
-        inner for inner, shape in remove_strips(outer, m) if not delta_bar(shape, "B").is_zero()
-    ]
-    pruned = sorted(inner for inner, _ in single_strip_removals(outer, m))
-    assert pruned == naive
+    for kind in ("B", "D"):
+        naive = [(inner, delta_bar(shape, kind)) for inner, shape in remove_strips(outer, m)]
+        pruned = sorted(single_strip_removals(outer, m, kind), key=lambda pair: pair[0])
+        assert pruned == [(inner, factor) for inner, factor in naive if factor], kind
 
 
 @given(st.tuples(partitions_strategy, partitions_strategy))
@@ -293,8 +308,8 @@ def test_sharp_corners_outnumber_dull_by_one_on_every_strip():
         for outer in partitions_of(n):
             for m in range(1, n + 1):
                 outer_bp = BiPartition(outer, ())
-                for _, shape in single_strip_removals(outer_bp, m):
-                    info = strip_classify(shape)
+                for inner, _ in single_strip_removals(outer_bp, m, "B"):
+                    info = strip_classify(SkewBiShape(outer_bp, inner))
                     (comp,) = info.components
                     sharp, dull = _corner_counts(comp.cells)
                     assert sharp == dull + 1
