@@ -18,7 +18,7 @@ _HOMES = {
                "enumerate_symbols family_decompose family_members is_special m2_unipotent "
                "pairing rank_defect shift_canonicalize special_cuspidal symbol_from_bipartition",
     "hecke": "BrSequence MNContext TraceCache br_from_cycles centralizer_order_B class_reps "
-             "cycles_from_br l_prime mn_trace st_bitableaux",
+             "l_prime mn_trace st_bitableaux",
     "almost": "VerificationReport cuspidal_pair_sign delta_const d_swap_diagnostic f_ab "
               "f_cuspidal_via_rectangles f_lambda involution_check m2_check "
               "orthogonality_check prop_cycles recursion_check verify_nonvanishing",

@@ -30,7 +30,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .config import Config
+from .config import NO_LIMITS, Config
 from .halflaurent import ZERO, HalfLaurent, frac_str, hl_exact_div
 from .hecke import (
     BrSequence,
@@ -39,7 +39,6 @@ from .hecke import (
     br_from_cycles,
     centralizer_order_B,
     class_reps,
-    cycles_from_br,
     mn_trace,
     valid_d_cycle_lists,
 )
@@ -110,8 +109,7 @@ def _elapsed_ms(t0: float) -> int:
 def _weighted_trace_sum(kind, terms, br: BrSequence, config, cache_store) -> HalfLaurent:
     """Sum of coeff * trace over (coeff, bipartition) terms, in list order,
     with every trace drawn through one shared memo context."""
-    budget = config.memo_budget if config is not None else None
-    context = MNContext(br, memo_budget=budget)
+    context = MNContext(br, config)
     total = ZERO
     for coeff, bp in terms:
         trace = mn_trace(kind, bp, br, context=context, cache_store=cache_store)
@@ -123,7 +121,7 @@ def f_lambda(
     kind: str,
     s: Symbol,
     cycles,
-    config: Config | None = None,
+    config: Config = NO_LIMITS,
     cache_store: TraceCache | None = None,
 ) -> HalfLaurent:
     """2^(-f) times the signed trace sum over the defect-1/0 members of s's family."""
@@ -132,8 +130,7 @@ def f_lambda(
     rank, _ = rank_defect(s)
     if rank != br.n:
         raise ValueError(f"symbol rank {rank} != cycle total {br.n}")
-    if config is not None:
-        config.check_rank(rank)
+    config.check_rank(rank)
     dec = family_decompose(s, kind)
     want = 1 if kind == "B" else 0
     terms = []
@@ -149,7 +146,7 @@ def f_ab(
     a: int,
     b: int,
     cycles,
-    config: Config | None = None,
+    config: Config = NO_LIMITS,
     cache_store: TraceCache | None = None,
 ) -> HalfLaurent:
     """Signed trace sum over the rectangle index set of the a x b box.
@@ -162,8 +159,9 @@ def f_ab(
     br = br_from_cycles(kind, cycles)
     if br.n != a * b:
         raise ValueError(f"cycle total {br.n} != box size {a * b}")
-    if config is not None:
-        config.check_rank(a * b)
+    if a < 0 or b < 0:
+        raise ValueError("box dimensions must be nonnegative")
+    config.check_rank(a * b)
     terms = []
     for bp in enumerate_P_ab(a, b, unordered=(kind == "D")):
         if kind == "D" and bp.alpha == bp.beta:
@@ -209,7 +207,7 @@ def f_cuspidal_via_rectangles(
     kind: str,
     d: int,
     cycles,
-    config: Config | None = None,
+    config: Config = NO_LIMITS,
     cache_store: TraceCache | None = None,
 ) -> HalfLaurent:
     """Second route to f of the cuspidal symbol: delta_const times f_ab."""
@@ -278,7 +276,7 @@ _D_TERMINAL_NOTE = (
 def verify_nonvanishing(
     kind: str,
     d: int,
-    config: Config | None = None,
+    config: Config = NO_LIMITS,
     cache_store: TraceCache | None = None,
 ) -> VerificationReport:
     t0 = time.monotonic()
@@ -304,7 +302,7 @@ def recursion_check(
     a: int,
     b: int,
     cycles,
-    config: Config | None = None,
+    config: Config = NO_LIMITS,
     cache_store: TraceCache | None = None,
 ) -> VerificationReport:
     """Exact-division check of the two-strip recursion for f_ab.
@@ -317,7 +315,7 @@ def recursion_check(
     t0 = time.monotonic()
     if a < 4 or b < 4:
         raise ValueError("recursion needs a, b >= 4")
-    cyc = cycles_from_br(br_from_cycles("B", cycles))
+    cyc = br_from_cycles("B", cycles).cycles
     if len(cyc) < 2:
         raise ValueError("need at least the two terminal strip cycles")
     want = (2 * a + 2 * b - 10, 2 * a + 2 * b - 6)
@@ -358,7 +356,7 @@ def recursion_check(
 
 def orthogonality_check(
     n: int,
-    config: Config | None = None,
+    config: Config = NO_LIMITS,
     trace_fn=None,
 ) -> VerificationReport:
     """Second orthogonality of the u = 1 trace table against centralizers.
@@ -368,16 +366,14 @@ def orthogonality_check(
     shared context per class.
     """
     t0 = time.monotonic()
-    if config is not None:
-        config.check_rank(n)
+    config.check_rank(n)
     reps = class_reps(n)
     bps = list(bipartitions_of(n))
     vectors = []
     for cycles in reps:
         if trace_fn is None:
             br = br_from_cycles("B", cycles)
-            budget = config.memo_budget if config is not None else None
-            context = MNContext(br, memo_budget=budget)
+            context = MNContext(br, config)
             vec = [mn_trace("B", bp, br, context=context).eval_one() for bp in bps]
         else:
             vec = [trace_fn(bp, cycles).eval_one() for bp in bps]
@@ -409,21 +405,20 @@ def orthogonality_check(
     )
 
 
-def _family_decompositions(n: int, kind: str, config: Config | None):
+def _family_decompositions(n: int, kind: str, config: Config = NO_LIMITS):
     """(rank, family, member decompositions) for every non-degenerate
     family of rank at most n."""
     check_kind(kind)
     if n < 0:
         raise ValueError("rank must be nonnegative")
-    if config is not None:
-        config.check_rank(n)
+    config.check_rank(n)
     for r in range(n + 1):
         for fam in enumerate_symbols(r, kind):
             if not fam.degenerate:
                 yield r, fam, [family_decompose(m, kind) for m in fam.members]
 
 
-def involution_check(n: int, kind: str, config: Config | None = None) -> VerificationReport:
+def involution_check(n: int, kind: str, config: Config = NO_LIMITS) -> VerificationReport:
     """Squares every non-degenerate family's pairing matrix 2^(-f) S up to
     rank n, as the integer identity S^2 = 4^f I on the symmetric sign matrix S."""
     t0 = time.monotonic()
@@ -447,7 +442,7 @@ def involution_check(n: int, kind: str, config: Config | None = None) -> Verific
     )
 
 
-def m2_check(n: int, kind: str, config: Config | None = None) -> VerificationReport:
+def m2_check(n: int, kind: str, config: Config = NO_LIMITS) -> VerificationReport:
     """Pairing against m2 multiplicities sums to 1, family by family, up to
     rank n: the integer sum of sign * m2 over the family equals 2^f."""
     t0 = time.monotonic()
@@ -471,21 +466,19 @@ def m2_check(n: int, kind: str, config: Config | None = None) -> VerificationRep
     )
 
 
-def d_swap_diagnostic(n: int, config: Config | None = None) -> VerificationReport:
+def d_swap_diagnostic(n: int, config: Config = NO_LIMITS) -> VerificationReport:
     """Compares kind D traces for the two component orders of each
     bipartition over every admissible cycle list of total n.  Reports
     asymmetries without treating them as failures."""
     t0 = time.monotonic()
     if n < 0:
         raise ValueError("rank must be nonnegative")
-    if config is not None:
-        config.check_rank(n)
+    config.check_rank(n)
     asymmetries = []
     pairs = 0
     for cycles in valid_d_cycle_lists(n):
         br = br_from_cycles("D", cycles)
-        budget = config.memo_budget if config is not None else None
-        context = MNContext(br, memo_budget=budget)
+        context = MNContext(br, config)
         for bp in bipartitions_of(n):
             if not bp.alpha > bp.beta:
                 continue

@@ -59,6 +59,8 @@ def _parse_row(text: str) -> list:
 def _parse_symbol(args):
     from .symbols import shift_canonicalize
     if args.symbol is not None:
+        if args.S is not None or args.T is not None:
+            raise ValueError("give the symbol either as --symbol or as --S/--T, not both")
         obj = _json_arg(args.symbol, "--symbol")
         return shift_canonicalize(obj["S"], obj["T"])
     return shift_canonicalize(_parse_row(args.S or ""), _parse_row(args.T or ""))
@@ -120,6 +122,8 @@ def _cmd_family_list(args, config, cache):
 
 def _family_key(args):
     if args.symbol is not None or args.S is not None or args.T is not None:
+        if args.Z1 is not None or args.Z2 is not None:
+            raise ValueError("give the family either as a symbol or as --Z1/--Z2, not both")
         from .symbols import family_decompose
         dec = family_decompose(_parse_symbol(args), args.kind)
         return dec.Z1, dec.Z2
@@ -237,6 +241,8 @@ def _cmd_enumerate_pab(args, config, cache):
     b = args.b if args.b is not None else args.pos_b
     if a is None or b is None:
         raise ValueError("give the box as positionals `pab A B` or flags --a/--b")
+    if a < 0 or b < 0:
+        raise ValueError("box dimensions must be nonnegative")
     config.check_rank(a * b)
     pairs = enumerate_P_ab(a, b, unordered=args.unordered)
     return 0, [bp.to_json_obj() for bp in pairs]

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
-__all__ = ["Config", "ResourceGuardError"]
+__all__ = ["Config", "NO_LIMITS", "ResourceGuardError"]
 
 
 class ResourceGuardError(RuntimeError):
@@ -19,7 +20,10 @@ class Config(NamedTuple("Limits", [("max_rank", int), ("memo_budget", int)])):
     """Limits on evaluation size: the largest rank a call may start and
     the number of memo entries one trace context may store.
 
-    The memo budget caps each trace context's memo only.  The strip-removal
+    Every library entry point takes its limits as a Config, and each
+    defaults to NO_LIMITS; there is no None form.  The CLI builds one from
+    --max-rank and --memo-budget, whose defaults are this class's.  The
+    memo budget caps each trace context's memo only.  The strip-removal
     tables (hecke._removal_table) and the walk caches (shapes._room, and
     shapes._no_2x2_inners with each inner's strip statistics) last as long
     as the process and have no limit.
@@ -44,3 +48,7 @@ class Config(NamedTuple("Limits", [("max_rank", int), ("memo_budget", int)])):
                 f"rank {n} exceeds the configured max_rank {self.max_rank}; "
                 "raise --max-rank to proceed"
             )
+
+
+#: The library default: no rank bound and no memo budget.
+NO_LIMITS = Config(max_rank=sys.maxsize, memo_budget=sys.maxsize)

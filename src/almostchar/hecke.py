@@ -3,12 +3,13 @@
 An element is addressed by its signed cycle type, a list of nonzero
 integers whose absolute values sum to n and whose negative entries mark
 barred cycles ([-2] is one barred 2-cycle, [6,10] two plain cycles).
-Internally the cycles become a sequence of strictly increasing endpoints
-(the running totals), barred where the cycle is barred.
+br_from_cycles validates such a list into a BrSequence: the kind and the
+signed cycle tuple itself.  A cycle c covers the points k..l with
+l - k + 1 = |c|, where k - 1 is the total of the cycles before it.
 
 The trace of the corresponding standard basis element on the irreducible
 module labelled by a bipartition is computed by peeling strips off the
-bipartition from the last endpoint inward: plain segments contribute the
+bipartition from the last cycle inward: plain segments contribute the
 broken-strip statistic delta, barred segments the decorated single-strip
 statistic delta_bar, and the whole sum carries a prefactor u^(l'/2) with
 l' counting the non-distinguished letters of the defining word.  Partial
@@ -42,7 +43,7 @@ from math import factorial
 from pathlib import Path
 from typing import NamedTuple
 
-from .config import Config, ResourceGuardError
+from .config import NO_LIMITS, Config, ResourceGuardError
 from .halflaurent import ONE, ZERO, HalfLaurent, _from_clean, half_power
 from .shapes import (
     BiPartition,
@@ -53,10 +54,8 @@ from .shapes import (
 )
 
 __all__ = [
-    "BrEntry",
     "BrSequence",
     "br_from_cycles",
-    "cycles_from_br",
     "l_prime",
     "MNContext",
     "mn_trace",
@@ -69,79 +68,52 @@ __all__ = [
 ]
 
 
-class BrEntry(NamedTuple):
-    magnitude: int
-    barred: bool
-
-
 class BrSequence(NamedTuple):
     kind: str
-    entries: tuple  # of BrEntry, magnitudes strictly increasing
+    cycles: tuple  # nonzero ints, negative where the cycle is barred
 
     @property
     def n(self) -> int:
-        return self.entries[-1].magnitude if self.entries else 0
+        return sum(map(abs, self.cycles))
 
 
 def br_from_cycles(kind: str, cycles) -> BrSequence:
-    """Endpoint sequence of a signed cycle list, validating kind D patterns."""
+    """The element of a signed cycle list, validating kind D patterns."""
     check_kind(kind)
     cyc = tuple(cycles)
     if any(isinstance(c, bool) or not isinstance(c, int) for c in cyc):
         raise ValueError(f"cycle lengths must be integers: {list(cyc)!r}")
     if any(c == 0 for c in cyc):
         raise ValueError("cycle lengths must be nonzero")
-    entries = []
-    run = 0
-    for c in cyc:
-        run += abs(c)
-        entries.append(BrEntry(run, c < 0))
     if kind == "D":
-        bars = [i for i, e in enumerate(entries) if e.barred]
-        case_i = not bars
-        case_ii = (
-            len(bars) == 2
-            and bars == [0, 1]
-            and len(entries) >= 2
-            and entries[0].magnitude == 1
-        )
-        if not (case_i or case_ii):
+        bars = [i for i, c in enumerate(cyc) if c < 0]
+        if bars and (bars != [0, 1] or cyc[0] != -1):
             raise ValueError(
                 f"cycles {list(cyc)} invalid for kind D: bars must be absent "
                 "or exactly [-1, -c, ...] in front"
             )
-    return BrSequence(kind, tuple(entries))
-
-
-def cycles_from_br(br: BrSequence) -> tuple:
-    out = []
-    prev = 0
-    for mag, barred in br.entries:
-        length = mag - prev
-        out.append(-length if barred else length)
-        prev = mag
-    return tuple(out)
+    return BrSequence(kind, cyc)
 
 
 def l_prime(br: BrSequence) -> int:
     """Letters other than the distinguished generator in the word for T_Br.
 
-    Segment from k = previous endpoint + 1 to l = endpoint: a plain
-    segment spells l - k transpositions; a barred one additionally walks
-    down and back, k + l - 2 letters for kind B and k + l - 3 for kind D
-    (whose leading barred [.]-1 segment spells no letters at all).
+    The cycle c covers the segment from k to l = k + |c| - 1, k - 1 being
+    the total of the cycles before it.  A plain segment spells l - k
+    transpositions; a barred one additionally walks down and back,
+    k + l - 2 letters for kind B and k + l - 3 for kind D (whose leading
+    barred [.]-1 segment spells no letters at all).
     """
     total = 0
-    prev = 0
-    for mag, barred in br.entries:
-        k, l = prev + 1, mag
-        if not barred:
+    l = 0
+    for c in br.cycles:
+        k, l = l + 1, l + abs(c)
+        if c > 0:
             total += l - k
         elif br.kind == "B":
             total += k + l - 2
         else:
             total += k + l - 3 if k >= 2 else 0
-        prev = mag
     return total
 
 
@@ -174,31 +146,26 @@ def _removal_table(outer: BiPartition, size: int, bar_kind: str | None) -> tuple
 
 
 class MNContext:
-    """Memoized chain summation for one (kind, endpoint sequence) pair.
+    """Memoized chain summation for one element br.
 
     Share one context across the bipartitions of a sweep, evaluated one
     after another, so that they reuse each other's partial sums.  The
-    memo_budget is a loose cap on stored entries; going past it raises
-    ResourceGuardError instead of thrashing.  The memo is the context's
-    own, and the budget bounds nothing else: the strip-removal tables it
-    reads, and the walk caches in shapes beneath them (each walk's inners
-    with their strip statistics), are shared by every context in the
-    process, last as long as it and have no limit.  steps
-    holds (size, bar_kind) per segment, bar_kind being None for a plain
-    segment and the kind for a barred one.
+    config's memo_budget (none by default) is a loose cap on stored
+    entries; going past it raises ResourceGuardError instead of thrashing.
+    The memo is the context's own, and the budget bounds nothing else: the
+    strip-removal tables it reads, and the walk caches in shapes beneath
+    them (each walk's inners with their strip statistics), are shared by
+    every context in the process, last as long as it and have no limit.
+    steps holds (size, bar_kind) per cycle of br.cycles, bar_kind being
+    None for a plain cycle and the kind for a barred one.
     """
 
-    def __init__(self, br: BrSequence, memo_budget: int | None = None):
+    def __init__(self, br: BrSequence, config: Config = NO_LIMITS):
         self.br = br
         self.kind = br.kind
-        steps = []
-        prev = 0
-        for mag, barred in br.entries:
-            steps.append((mag - prev, br.kind if barred else None))
-            prev = mag
-        self.steps = tuple(steps)
+        self.steps = tuple((abs(c), br.kind if c < 0 else None) for c in br.cycles)
         self.prefactor = half_power(l_prime(br))
-        self.memo_budget = memo_budget
+        self.memo_budget = config.memo_budget
         self._memo: dict = {}
 
     def chain_sum(self, outer: BiPartition, k: int) -> HalfLaurent:
@@ -218,7 +185,7 @@ class MNContext:
                 for k1, c1 in factor._terms.items():
                     acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
         total = _from_clean({e: c for e, c in acc.items() if c})
-        if self.memo_budget is not None and len(self._memo) >= self.memo_budget:
+        if len(self._memo) >= self.memo_budget:
             raise ResourceGuardError(
                 f"memo budget {self.memo_budget} exhausted at rank {self.br.n}"
             )
@@ -231,35 +198,35 @@ def mn_trace(
     lam: BiPartition,
     br: BrSequence,
     context: MNContext | None = None,
-    config: Config | None = None,
+    config: Config = NO_LIMITS,
     cache_store: "TraceCache | None" = None,
 ) -> HalfLaurent:
     """Trace of T_Br on the module of the bipartition lam, exactly.
 
     Pass a shared context when sweeping many bipartitions against the
-    same element.  kind D refuses lam.alpha == lam.beta: those modules
-    split and are out of scope here.  The chain sum recurses once per
-    cycle, so more cycles than the interpreter's recursion limit allows
-    raise ResourceGuardError.
+    same element; its own limits then apply to the memo, and config's
+    max_rank to the call.  Omitting config sets no limits.  kind D
+    refuses lam.alpha == lam.beta: those modules split and are out of
+    scope here.  The chain sum recurses once per cycle, so more cycles
+    than the interpreter's recursion limit allows raise
+    ResourceGuardError.
     """
     check_kind(kind)
     if br.kind != kind:
-        raise ValueError(f"endpoint sequence is kind {br.kind}, asked for {kind}")
+        raise ValueError(f"element is kind {br.kind}, asked for {kind}")
     if lam.size != br.n:
         raise ValueError(f"|lambda| = {lam.size} but the element moves {br.n} points")
     if kind == "D" and lam.alpha == lam.beta:
         raise ValueError(f"kind D trace undefined for equal components {lam}")
-    if config is not None:
-        config.check_rank(br.n)
+    config.check_rank(br.n)
     if context is not None and context.br is not br and context.br != br:
-        raise ValueError(f"context is for {cycles_from_br(context.br)}, not {cycles_from_br(br)}")
+        raise ValueError(f"context is for {context.br.cycles}, not {br.cycles}")
     if cache_store is not None:
         cached = cache_store.get(kind, lam, br)
         if cached is not None:
             return cached
     if context is None:
-        budget = config.memo_budget if config is not None else None
-        context = MNContext(br, memo_budget=budget)
+        context = MNContext(br, config)
     try:
         chain = context.chain_sum(lam, len(context.steps))
     except RecursionError:
@@ -293,7 +260,7 @@ class TraceCache:
             {
                 "kind": kind,
                 "lambda": lam.to_json_obj(),
-                "cycles": list(cycles_from_br(br)),
+                "cycles": list(br.cycles),
             },
             separators=(",", ":"),
         )

@@ -181,6 +181,15 @@ def test_resource_guards_exit_three(capsys):
         # a negative entry in either row: symbols have nonnegative entries
         ["family", "pairing-matrix", "--kind", "B", "--Z1", "0,1,-2"],
         ["family", "pairing-matrix", "--kind", "B", "--Z1", "0,1,2", "--Z2", "-1"],
+        # one input named two ways
+        ["symbol", "info", "--symbol", '{"S":[0,1,2],"T":[]}', "--S", "0,2", "--T", "1"],
+        ["flambda", "--kind", "B", "--symbol", '{"S":[0,1,2],"T":[]}', "--S", "0,2",
+         "--T", "1", "--cycles", "[-2]"],
+        ["family", "pairing-matrix", "--kind", "B", "--symbol", '{"S":[0,1,2],"T":[]}',
+         "--Z1", "0,1,2,3,4"],
+        # negative box sides whose product is within the rank limit
+        ["enumerate", "pab", "--a", "-30", "--b", "-1"],
+        ["fab", "--a", "-6", "--b", "-5", "--cycles", "[30]"],
     ],
 )
 def test_malformed_input_exit_two(capsys, argv):

@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 
 from almostchar.halflaurent import ONE, ZERO, HalfLaurent
 from almostchar import hecke as hecke_module
+from almostchar.config import Config
 from almostchar.hecke import (
-    BrEntry,
     MNContext,
     ResourceGuardError,
     TraceCache,
     br_from_cycles,
     centralizer_order_B,
     class_reps,
-    cycles_from_br,
     identity_cycles,
     l_prime,
     mn_trace,
@@ -51,24 +50,17 @@ def hl(pairs):
     return HalfLaurent(pairs)
 
 
-# -- endpoint sequences -------------------------------------------------------
+# -- elements -----------------------------------------------------------------
 
 
-def test_br_from_cycles_endpoints():
+def test_br_from_cycles_keeps_the_signed_cycles():
     br = br_from_cycles("B", [-1, -3, 3, 5])
-    assert [(e.magnitude, e.barred) for e in br.entries] == [
-        (1, True),
-        (4, True),
-        (7, False),
-        (12, False),
-    ]
+    assert br.cycles == (-1, -3, 3, 5)
     assert br.n == 12
 
-    assert br_from_cycles("B", [-2]).entries == (BrEntry(2, True),)
-    assert br_from_cycles("B", [6, 10]).entries == (
-        BrEntry(6, False),
-        BrEntry(16, False),
-    )
+    assert br_from_cycles("B", [-2]).cycles == (-2,)
+    assert br_from_cycles("B", [6, 10]) == ("B", (6, 10))
+    assert br_from_cycles("B", []).n == 0
 
 
 def test_br_from_cycles_rejects():
@@ -89,9 +81,9 @@ def test_br_from_cycles_rejects():
 )
 def test_br_roundtrip(neg_mags, pos_mags):
     cycles = tuple(-m for m in sorted(neg_mags)) + tuple(sorted(pos_mags))
-    if not cycles:
-        return
-    assert cycles_from_br(br_from_cycles("B", cycles)) == cycles
+    br = br_from_cycles("B", list(cycles))
+    assert br.cycles == cycles
+    assert br.n == sum(neg_mags) + sum(pos_mags)
 
 
 def test_l_prime_examples():
@@ -100,6 +92,28 @@ def test_l_prime_examples():
     assert l_prime(br_from_cycles("B", [-1])) == 0
     assert l_prime(br_from_cycles("D", [-1, -3])) == 3
     assert l_prime(br_from_cycles("B", [-1, -3, 3, 5])) == 10
+
+
+def _signed_compositions(n):
+    """Every signed cycle list of total n: 2 * 3^(n-1) of them."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _signed_compositions(n - first):
+            yield (first,) + rest
+            yield (-first,) + rest
+
+
+def test_l_prime_counts_the_letters_of_the_seminormal_word():
+    # the seminormal model spells the same word with t as letter 0
+    checked = 0
+    for n in range(1, 8):
+        for cycles in _signed_compositions(n):
+            word = word_for_b_cycles_in_order(cycles, n)
+            assert l_prime(br_from_cycles("B", cycles)) == sum(1 for g in word if g), cycles
+            checked += 1
+    assert checked == 2186
 
 
 # -- class representatives ----------------------------------------------------
@@ -230,7 +244,7 @@ def test_mn_trace_rejects_a_context_built_for_another_element():
 
 def test_memo_budget_guard():
     br = br_from_cycles("B", [-2, 3])
-    ctx = MNContext(br, memo_budget=1)
+    ctx = MNContext(br, Config(memo_budget=1))
     with pytest.raises(ResourceGuardError):
         mn_trace("B", bp([3, 1], [1]), br, context=ctx)
 
@@ -241,7 +255,7 @@ def test_repeat_and_shared_context_agree():
     fresh_b = mn_trace("B", bp([3], [2]), br)
     assert fresh_a == fresh_b
 
-    ctx = MNContext(br, memo_budget=5_000_000)
+    ctx = MNContext(br, Config())
     first = mn_trace("B", bp([3], [2]), br, context=ctx)
     second = mn_trace("B", bp([2, 1], [1, 1]), br, context=ctx)
     assert first == fresh_a
