@@ -35,7 +35,6 @@ from .halflaurent import ZERO, HalfLaurent, frac_str, hl_exact_div
 from .hecke import (
     BrSequence,
     MNContext,
-    TraceCache,
     br_from_cycles,
     centralizer_order_B,
     class_reps,
@@ -106,24 +105,18 @@ def _elapsed_ms(t0: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_trace_sum(kind, terms, br: BrSequence, config, cache_store) -> HalfLaurent:
+def _weighted_trace_sum(kind, terms, br: BrSequence, config) -> HalfLaurent:
     """Sum of coeff * trace over (coeff, bipartition) terms, in list order,
     with every trace drawn through one shared memo context."""
     context = MNContext(br, config)
     total = ZERO
     for coeff, bp in terms:
-        trace = mn_trace(kind, bp, br, context=context, cache_store=cache_store)
+        trace = mn_trace(kind, bp, br, context=context)
         total = total + coeff * trace
     return total
 
 
-def f_lambda(
-    kind: str,
-    s: Symbol,
-    cycles,
-    config: Config = NO_LIMITS,
-    cache_store: TraceCache | None = None,
-) -> HalfLaurent:
+def f_lambda(kind: str, s: Symbol, cycles, config: Config = NO_LIMITS) -> HalfLaurent:
     """2^(-f) times the signed trace sum over the defect-1/0 members of s's family."""
     check_kind(kind)
     br = br_from_cycles(kind, cycles)
@@ -139,16 +132,10 @@ def f_lambda(
             continue
         sign = fourier_sign(dec, family_decompose(member, kind))
         terms.append((sign, bipartition_from_symbol(kind, member)))
-    return Fraction(1, 2 ** dec.f) * _weighted_trace_sum(kind, terms, br, config, cache_store)
+    return Fraction(1, 2 ** dec.f) * _weighted_trace_sum(kind, terms, br, config)
 
 
-def f_ab(
-    a: int,
-    b: int,
-    cycles,
-    config: Config = NO_LIMITS,
-    cache_store: TraceCache | None = None,
-) -> HalfLaurent:
+def f_ab(a: int, b: int, cycles, config: Config = NO_LIMITS) -> HalfLaurent:
     """Signed trace sum over the rectangle index set of the a x b box.
 
     Square boxes are the kind D case and run over unordered pairs; their
@@ -167,7 +154,7 @@ def f_ab(
         if kind == "D" and bp.alpha == bp.beta:
             raise ValueError(f"square-box index set produced equal components {bp}")
         terms.append(((-1) ** sum(bp.alpha), bp))
-    return _weighted_trace_sum(kind, terms, br, config, cache_store)
+    return _weighted_trace_sum(kind, terms, br, config)
 
 
 def delta_const(kind: str, d: int) -> Fraction:
@@ -204,18 +191,14 @@ def cuspidal_pair_sign(kind: str, d: int, bp: BiPartition) -> Fraction:
 
 
 def f_cuspidal_via_rectangles(
-    kind: str,
-    d: int,
-    cycles,
-    config: Config = NO_LIMITS,
-    cache_store: TraceCache | None = None,
+    kind: str, d: int, cycles, config: Config = NO_LIMITS
 ) -> HalfLaurent:
     """Second route to f of the cuspidal symbol: delta_const times f_ab."""
     check_kind(kind)
     if kind == "B":
-        value = f_ab(d + 1, d, cycles, config, cache_store)
+        value = f_ab(d + 1, d, cycles, config)
     else:
-        value = f_ab(2 * d, 2 * d, cycles, config, cache_store)
+        value = f_ab(2 * d, 2 * d, cycles, config)
     return delta_const(kind, d) * value
 
 
@@ -273,16 +256,11 @@ _D_TERMINAL_NOTE = (
 # ---------------------------------------------------------------------------
 
 
-def verify_nonvanishing(
-    kind: str,
-    d: int,
-    config: Config = NO_LIMITS,
-    cache_store: TraceCache | None = None,
-) -> VerificationReport:
+def verify_nonvanishing(kind: str, d: int, config: Config = NO_LIMITS) -> VerificationReport:
     t0 = time.monotonic()
     cycles = prop_cycles(kind, d)
     cuspidal, _ = special_cuspidal(kind, d)
-    value = f_lambda(kind, cuspidal, cycles, config, cache_store)
+    value = f_lambda(kind, cuspidal, cycles, config)
     return VerificationReport(
         claim="prop-7.13" if kind == "B" else "prop-7.14",
         verdict="pass" if not value.is_zero() else "fail",
@@ -298,13 +276,7 @@ def verify_nonvanishing(
     )
 
 
-def recursion_check(
-    a: int,
-    b: int,
-    cycles,
-    config: Config = NO_LIMITS,
-    cache_store: TraceCache | None = None,
-) -> VerificationReport:
+def recursion_check(a: int, b: int, cycles, config: Config = NO_LIMITS) -> VerificationReport:
     """Exact-division check of the two-strip recursion for f_ab.
 
     The last two cycles must be plain strips of lengths 2a+2b-10 and
@@ -326,8 +298,8 @@ def recursion_check(
         raise ValueError(
             f"leading cycles must total (a-4)(b-4) = {(a - 4) * (b - 4)}"
         )
-    value = f_ab(a, b, cyc, config, cache_store)
-    base = f_ab(a - 4, b - 4, head, config, cache_store)
+    value = f_ab(a, b, cyc, config)
+    base = f_ab(a - 4, b - 4, head, config)
     fields = {
         "a": a,
         "b": b,

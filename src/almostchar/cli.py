@@ -13,8 +13,8 @@ json and config, and each handler imports the engine names it calls.
 --help loads nothing more; symbol, family list / pairing-matrix and
 enumerate commands load symbols (with shapes and halflaurent); mn eval
 loads hecke without symbols; flambda, fab, verify, diagnose and family
-involution-check load almost, and with it the whole engine.  hecke (and
-hashlib) load for --cache-dir, and csv only for --format csv.
+involution-check load almost, and with it the whole engine.  csv loads
+only for --format csv.
 """
 
 from __future__ import annotations
@@ -29,16 +29,15 @@ __all__ = ["main"]
 
 
 def _common_flags() -> argparse.ArgumentParser:
+    limits = Config()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "plain"), default="json")
-    common.add_argument("--max-rank", type=int, default=20, metavar="N")
+    common.add_argument("--max-rank", type=int, default=limits.max_rank, metavar="N")
     common.add_argument("--workers", type=int, default=0, metavar="W",
                         help="accepted and ignored: traces run in one thread")
-    common.add_argument("--memo-budget", type=int, default=5_000_000, metavar="E")
+    common.add_argument("--memo-budget", type=int, default=limits.memo_budget, metavar="E")
     common.add_argument("--no-timing", action="store_true",
                         help="omit elapsed-time fields (for byte-stable output)")
-    common.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="optional on-disk cache of finished traces")
     return common
 
 
@@ -88,7 +87,7 @@ def _parse_cycles(text: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_symbol_info(args, config, cache):
+def _cmd_symbol_info(args, config):
     from .symbols import family_decompose, is_degenerate, is_special, rank_defect
     s = _parse_symbol(args)
     rank, defect = rank_defect(s)
@@ -113,7 +112,7 @@ def _cmd_symbol_info(args, config, cache):
     return 0, doc
 
 
-def _cmd_family_list(args, config, cache):
+def _cmd_family_list(args, config):
     from .symbols import enumerate_symbols
     config.check_rank(args.n)
     fams = enumerate_symbols(args.n, args.kind)
@@ -138,7 +137,7 @@ def _family_key(args):
     return tuple(rows[0]), tuple(rows[1])
 
 
-def _cmd_family_pairing_matrix(args, config, cache):
+def _cmd_family_pairing_matrix(args, config):
     from .halflaurent import frac_str
     from .symbols import family_members, pairing, rank_defect, symbol_from_label
     z1, z2 = _family_key(args)
@@ -161,25 +160,25 @@ def _report_doc(args, report):
     return (0 if report.passed else 1), report.to_json_obj(include_timing=not args.no_timing)
 
 
-def _cmd_family_involution_check(args, config, cache):
+def _cmd_family_involution_check(args, config):
     from . import almost
     return _report_doc(args, almost.involution_check(args.n, args.kind, config))
 
 
-def _cmd_mn_eval(args, config, cache):
+def _cmd_mn_eval(args, config):
     from .hecke import br_from_cycles, mn_trace
     lam = _parse_bipartition(getattr(args, "lambda"))
     br = br_from_cycles(args.kind, _parse_cycles(args.cycles))
-    value = mn_trace(args.kind, lam, br, config=config, cache_store=cache)
+    value = mn_trace(args.kind, lam, br, config=config)
     return 0, value.to_json_obj()
 
 
-def _cmd_flambda(args, config, cache):
+def _cmd_flambda(args, config):
     from . import almost
     from .halflaurent import frac_str
     s = _parse_symbol(args)
     cycles = _parse_cycles(args.cycles)
-    value = almost.f_lambda(args.kind, s, cycles, config, cache)
+    value = almost.f_lambda(args.kind, s, cycles, config)
     doc = {
         "kind": args.kind,
         "symbol": s.to_json_obj(),
@@ -190,11 +189,11 @@ def _cmd_flambda(args, config, cache):
     return 0, doc
 
 
-def _cmd_fab(args, config, cache):
+def _cmd_fab(args, config):
     from . import almost
     from .halflaurent import frac_str
     cycles = _parse_cycles(args.cycles)
-    value = almost.f_ab(args.a, args.b, cycles, config, cache)
+    value = almost.f_ab(args.a, args.b, cycles, config)
     doc = {
         "a": args.a,
         "b": args.b,
@@ -206,25 +205,25 @@ def _cmd_fab(args, config, cache):
 
 
 def _cmd_verify_nonvanishing(kind):
-    def handler(args, config, cache):
+    def handler(args, config):
         from . import almost
-        return _report_doc(args, almost.verify_nonvanishing(kind, args.d, config, cache))
+        return _report_doc(args, almost.verify_nonvanishing(kind, args.d, config))
 
     return handler
 
 
-def _cmd_verify_recursion(args, config, cache):
+def _cmd_verify_recursion(args, config):
     from . import almost
-    report = almost.recursion_check(args.a, args.b, _parse_cycles(args.cycles), config, cache)
+    report = almost.recursion_check(args.a, args.b, _parse_cycles(args.cycles), config)
     return _report_doc(args, report)
 
 
-def _cmd_verify_orthogonality(args, config, cache):
+def _cmd_verify_orthogonality(args, config):
     from . import almost
     return _report_doc(args, almost.orthogonality_check(args.n, config))
 
 
-def _cmd_verify_m2(args, config, cache):
+def _cmd_verify_m2(args, config):
     from . import almost
     kinds = ("B", "D") if args.kind == "both" else (args.kind,)
     reports = [almost.m2_check(args.n, k, config) for k in kinds]
@@ -233,7 +232,7 @@ def _cmd_verify_m2(args, config, cache):
     return code, (docs[0] if len(docs) == 1 else docs)
 
 
-def _cmd_enumerate_pab(args, config, cache):
+def _cmd_enumerate_pab(args, config):
     from .symbols import enumerate_P_ab
     if None not in (args.a, args.pos_a) or None not in (args.b, args.pos_b):
         raise ValueError("give each box side once, as a positional or as a flag")
@@ -248,7 +247,7 @@ def _cmd_enumerate_pab(args, config, cache):
     return 0, [bp.to_json_obj() for bp in pairs]
 
 
-def _cmd_diagnose_d_swap(args, config, cache):
+def _cmd_diagnose_d_swap(args, config):
     from . import almost
     return _report_doc(args, almost.d_swap_diagnostic(args.n, config))
 
@@ -386,11 +385,7 @@ def main(argv=None) -> int:
         if args.workers < 0:
             raise ValueError("--workers must be >= 0")
         config = Config(max_rank=args.max_rank, memo_budget=args.memo_budget)
-        cache = None
-        if args.cache_dir:
-            from .hecke import TraceCache  # loaded only with --cache-dir
-            cache = TraceCache(args.cache_dir)
-        code, doc = args.func(args, config, cache)
+        code, doc = args.func(args, config)
     except ResourceGuardError as e:
         print(f"almostchar: resource guard: {e}", file=sys.stderr)
         return 3

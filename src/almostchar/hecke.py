@@ -162,7 +162,6 @@ class MNContext:
 
     def __init__(self, br: BrSequence, config: Config = NO_LIMITS):
         self.br = br
-        self.kind = br.kind
         self.steps = tuple((abs(c), br.kind if c < 0 else None) for c in br.cycles)
         self.prefactor = half_power(l_prime(br))
         self.memo_budget = config.memo_budget
@@ -240,7 +239,8 @@ def mn_trace(
 
 
 class TraceCache:
-    """Optional on-disk store of finished traces, one JSON file per key.
+    """Optional on-disk store of finished traces, one JSON file per key,
+    used only through mn_trace(..., cache_store=...).
 
     A directory that cannot be created raises ValueError.  An entry that
     does not decode (truncated, corrupt, or not integer-valued) reads as a
@@ -299,12 +299,10 @@ class TraceCache:
 # ---------------------------------------------------------------------------
 
 
-def class_reps(n: int, kind: str = "B") -> list:
+def class_reps(n: int) -> list:
     """One signed cycle list per conjugacy class of the signed permutation
     group: a pair of partitions (plain lengths, barred lengths).  Barred
     cycles come first, shortest first."""
-    if kind != "B":
-        raise ValueError("class representatives are provided for kind B only")
     if n < 1:
         raise ValueError("n must be >= 1")
     reps = []

@@ -163,9 +163,6 @@ def test_resource_guards_exit_three(capsys):
         ["mn", "eval", "--kind", "B", "--lambda", "[[1],[]]", "--cycles", "[true]"],
         ["mn", "eval", "--kind", "B", "--lambda", "[[1],[]]", "--cycles", "[1]",
          "--workers", "-1"],
-        # a cache directory that names an existing file
-        ["mn", "eval", "--kind", "B", "--lambda", "[[1,1],[]]", "--cycles", "[-2]",
-         "--cache-dir", __file__],
         # a negative rank
         ["verify", "m2", "--n", "-2"],
         ["family", "involution-check", "--kind", "B", "--n", "-1"],
@@ -217,6 +214,22 @@ def test_rank_guard_on_every_command(capsys, argv):
     assert "max_rank 20" in err
 
 
+def test_cache_dir_is_refused(tmp_path):
+    # traces are not stored between calls: the flag is refused by the
+    # parser and nothing is written where it points
+    directory = tmp_path / "store"
+    env = dict(os.environ, PYTHONPATH=str(Path(almostchar.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "almostchar", "mn", "eval", "--kind", "B",
+         "--lambda", "[[1],[]]", "--cycles", "[1]", "--cache-dir", str(directory)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unrecognized arguments" in proc.stderr
+    assert not directory.exists()
+
+
 def test_deep_recursion_exit_three():
     cycles = json.dumps([1] * 1200)
     env = dict(os.environ, PYTHONPATH=str(Path(almostchar.__file__).parents[1]))
@@ -253,9 +266,9 @@ def _modules_loaded_by(argv) -> set:
 
 
 def test_start_up_skips_unneeded_imports():
-    # hashlib serves only --cache-dir and csv only --format csv, and the two
-    # records need no dataclasses (which pulls in inspect): a plain call
-    # must load none of them
+    # no command keeps a disk cache, so nothing loads hashlib; csv serves
+    # only --format csv, and the two records need no dataclasses (which
+    # pulls in inspect): a plain call must load none of them
     loaded = _modules_loaded_by(["verify", "prop713", "--d", "1", "--no-timing"])
     assert loaded & {"dataclasses", "inspect", "hashlib", "csv"} == set()
 
@@ -303,31 +316,6 @@ def test_enumerate_pab_positional_equals_flags(capsys):
         capsys, ["enumerate", "pab", "2", "2", "--unordered", "--no-timing"]
     )
     assert json.loads(unordered) == [[[2, 2], []], [[2, 1], [1]], [[2], [1, 1]]]
-
-
-def test_cache_dir_round_trip(tmp_path, capsys):
-    argv = ["flambda", "--kind", "B", "--S", "0,1,2", "--T", "", "--cycles",
-            "[-2]", "--no-timing", "--cache-dir", str(tmp_path)]
-    code, first, _ = run(capsys, argv)
-    assert code == 0
-    assert list(tmp_path.iterdir()), "no cache files written"
-    code, second, _ = run(capsys, argv)
-    assert code == 0
-    assert first == second
-
-
-def test_truncated_cache_entry_is_recomputed(tmp_path, capsys):
-    argv = ["mn", "eval", "--kind", "B", "--lambda", "[[1,1],[]]", "--cycles", "[-2]",
-            "--no-timing", "--cache-dir", str(tmp_path)]
-    code, first, _ = run(capsys, argv)
-    assert code == 0
-    (entry,) = tmp_path.iterdir()
-    whole = entry.read_bytes()
-    entry.write_bytes(whole[:20])
-    code, second, err = run(capsys, argv)
-    assert (code, second, err) == (0, first, "")
-    assert entry.read_bytes() == whole
-    assert list(tmp_path.iterdir()) == [entry]
 
 
 def test_worker_count_does_not_change_bytes(capsys):
