@@ -163,6 +163,8 @@ def test_resource_guards_exit_three(capsys):
         ["mn", "eval", "--kind", "B", "--lambda", "[[1],[]]", "--cycles", "[true]"],
         ["mn", "eval", "--kind", "B", "--lambda", "[[1],[]]", "--cycles", "[1]",
          "--workers", "-1"],
+        # a cycle of length zero
+        ["mn", "eval", "--kind", "B", "--lambda", "[[1,1],[]]", "--cycles", "[-2,0]"],
         # a negative rank
         ["verify", "m2", "--n", "-2"],
         ["family", "involution-check", "--kind", "B", "--n", "-1"],
