@@ -326,30 +326,18 @@ def recursion_check(a: int, b: int, cycles, config: Config = NO_LIMITS) -> Verif
     return VerificationReport("lemma-7.12", verdict, fields, notes, ms=_elapsed_ms(t0))
 
 
-def orthogonality_check(
-    n: int,
-    config: Config = NO_LIMITS,
-    trace_fn=None,
-) -> VerificationReport:
-    """Second orthogonality of the u = 1 trace table against centralizers.
-
-    trace_fn(bp, cycles) -> HalfLaurent is injectable so a corrupted
-    table can be shown to fail; the default is the real mn_trace with a
-    shared context per class.
-    """
+def orthogonality_check(n: int, config: Config = NO_LIMITS) -> VerificationReport:
+    """Second orthogonality of the u = 1 trace table against centralizers,
+    with one shared trace context per class."""
     t0 = time.monotonic()
     config.check_rank(n)
     reps = class_reps(n)
     bps = list(bipartitions_of(n))
     vectors = []
     for cycles in reps:
-        if trace_fn is None:
-            br = br_from_cycles("B", cycles)
-            context = MNContext(br, config)
-            vec = [mn_trace("B", bp, br, context=context).eval_one() for bp in bps]
-        else:
-            vec = [trace_fn(bp, cycles).eval_one() for bp in bps]
-        vectors.append(vec)
+        br = br_from_cycles("B", cycles)
+        context = MNContext(br, config)
+        vectors.append([mn_trace("B", bp, br, context=context).eval_one() for bp in bps])
     mismatches = []
     for i, wi in enumerate(reps):
         for j in range(i, len(reps)):

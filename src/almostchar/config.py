@@ -24,9 +24,9 @@ class Config(NamedTuple("Limits", [("max_rank", int), ("memo_budget", int)])):
     defaults to NO_LIMITS; there is no None form.  The CLI builds one from
     --max-rank and --memo-budget, whose defaults are this class's.  The
     memo budget caps each trace context's memo only.  The strip-removal
-    tables (hecke._removal_table) and the walk caches (shapes._room, and
-    shapes._no_2x2_inners with each inner's strip statistics) last as long
-    as the process and have no limit.
+    tables (hecke._removal_table) and the walk cache beneath them
+    (shapes._no_2x2_inners, each inner with its strip statistics) last as
+    long as the process and have no limit.
     """
 
     __slots__ = ()

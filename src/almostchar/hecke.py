@@ -136,7 +136,8 @@ def _removal_table(outer: BiPartition, size: int, bar_kind: str | None) -> tuple
     +-u^(e/2) * U^(m-1), and a connected strip has a delta_bar equal to one
     +-monomial.  Each factor is a shared value, not a copy.  One table per
     key for the life of the process, with no limit, like the walk cache
-    beneath it.
+    beneath it (shapes._no_2x2_inners); these two are the unbounded strip
+    caches.
     """
     if bar_kind is None:
         pairs = broken_strip_removals(outer, size)
@@ -153,9 +154,10 @@ class MNContext:
     config's memo_budget (none by default) is a loose cap on stored
     entries; going past it raises ResourceGuardError instead of thrashing.
     The memo is the context's own, and the budget bounds nothing else: the
-    strip-removal tables it reads, and the walk caches in shapes beneath
-    them (each walk's inners with their strip statistics), are shared by
-    every context in the process, last as long as it and have no limit.
+    strip-removal tables it reads (_removal_table), and the walk cache in
+    shapes beneath them (_no_2x2_inners, each walk's inners with their
+    strip statistics), are shared by every context in the process, last as
+    long as it and have no limit.
     steps holds (size, bar_kind) per cycle of br.cycles, bar_kind being
     None for a plain cycle and the kind for a barred one.
     """
@@ -206,13 +208,18 @@ def mn_trace(
     same element; its own limits then apply to the memo, and config's
     max_rank to the call.  Omitting config sets no limits.  kind D
     refuses lam.alpha == lam.beta: those modules split and are out of
-    scope here.  The chain sum recurses once per cycle, so more cycles
-    than the interpreter's recursion limit allows raise
-    ResourceGuardError.
+    scope here.  Each component of lam must be a tuple of positive ints in
+    weakly decreasing order, or ValueError names it.  The chain sum
+    recurses once per cycle, so more cycles than the interpreter's
+    recursion limit allows raise ResourceGuardError.
     """
     check_kind(kind)
     if br.kind != kind:
         raise ValueError(f"element is kind {br.kind}, asked for {kind}")
+    for side in lam:  # checked once here, so chain_sum can trust every outer
+        if not (type(side) is tuple and all(type(x) is int for x in side)
+                and (not side or side[-1] > 0) and sorted(side, reverse=True) == list(side)):
+            raise ValueError(f"{side!r} in {lam} is not a partition")
     if lam.size != br.n:
         raise ValueError(f"|lambda| = {lam.size} but the element moves {br.n} points")
     if kind == "D" and lam.alpha == lam.beta:

@@ -24,10 +24,10 @@ adjacent rows that share a column, and e, the exponent of u^(1/2)):
 * row criterion: rows i and i+1 of outer/inner hold a 2x2 block exactly
   when inner_i < outer_{i+1} - 1; without one, they are connected exactly
   when inner_i == outer_{i+1} - 1 (they then share one column);
-* room bound: by the row criterion, rows i.. of outer can give up at most
-  room_i = sum over k >= i of outer_k - max(outer_{k+1} - 1, 0) cells with
-  no 2x2 block, and every size from 0 to room_0 occurs (checked for every
-  partition of n <= 14);
+* rim bound: by the row criterion, rows i.. of outer can give up at most
+  their rim, outer_i + (number of rows) - i - 1 cells (the hook length of
+  the row's first cell), with no 2x2 block, and every size from 0 to the
+  rim of outer occurs (checked for every partition of n <= 14);
 * corner rule: in one border strip, the sharp corners (no cell above, none
   to the left) are the first cell of the top row and the first cell of
   every other row of length >= 2; the dull corners (a cell above and one to
@@ -291,15 +291,9 @@ def _delta_bar_value(e: int, sign: int) -> HalfLaurent:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _room(outer: Partition) -> tuple[int, ...]:
-    """room[i]: the most cells removable from rows i.. of outer without a 2x2
-    block, by the row criterion; room[len(outer)] == 0."""
-    room = [0] * (len(outer) + 1)
-    for i in range(len(outer) - 1, -1, -1):
-        below = outer[i + 1] if i + 1 < len(outer) else 0
-        room[i] = room[i + 1] + outer[i] - max(below - 1, 0)
-    return tuple(room)
+def _rim(outer: Partition) -> int:
+    """The most cells outer can give up without a 2x2 block (the rim bound)."""
+    return outer[0] + len(outer) - 1 if outer else 0
 
 
 @lru_cache(maxsize=None)
@@ -308,7 +302,8 @@ def _no_2x2_inners(outer: Partition, removed: int) -> tuple[tuple, tuple]:
     and no 2x2 block, in sorted order, and each one's _side_stats triple.
 
     Row i keeps v cells with max(outer_{i+1} - 1, 0) <= v (the row
-    criterion) and leaves at most room[i+1] cells to the rows below, so the
+    criterion) and leaves to the rows below at most their rim,
+    outer_{i+1} + len(outer) - i - 2 cells (none past the last row), so the
     walk builds only inners of the requested size.  It is depth first and
     goes on in place with the smallest v, leaving the larger ones on the
     stack, so inners come out sorted and a row with one choice (most rows,
@@ -318,8 +313,7 @@ def _no_2x2_inners(outer: Partition, removed: int) -> tuple[tuple, tuple]:
     when v < outer_i and joins row i+1 when v == outer_{i+1} - 1; the cells
     number `removed`.  Equal triples are one shared object.
     """
-    room = _room(outer)
-    if removed > room[0]:
+    if removed > _rim(outer):
         return (), ()
     n_rows = len(outer)
     inners: list[Partition] = []
@@ -328,11 +322,15 @@ def _no_2x2_inners(outer: Partition, removed: int) -> tuple[tuple, tuple]:
     stack = [(0, outer[0] if outer else 0, removed, (), 0, 0)]
     while stack:
         i, prev, left, prefix, rows, joins = stack.pop()
-        while left:  # left <= room[i] and prev >= outer[i] - 1, so lo <= hi
+        while left:  # left <= the rim of rows i.. and prev >= outer[i] - 1, so lo <= hi
             o = outer[i]
-            join = outer[i + 1] - 1 if i + 1 < n_rows else -1
-            lo = o - left
-            hi = lo + room[i + 1]  # bounds as conditionals: min and max cost a call per row
+            lo = hi = o - left
+            if i + 1 < n_rows:  # the rows below give up at most their rim
+                join = outer[i + 1] - 1
+                hi += join + n_rows - i - 1
+            else:
+                join = -1
+            # bounds as conditionals: min and max cost a call per row
             if lo < join:  # the row criterion
                 lo = join
             if lo < 0:
@@ -372,7 +370,7 @@ def broken_strip_removals(
     Pruned equivalent of filtering every sub-bipartition by delta != 0; the
     two agree (tested against the unpruned enumeration in tests/cells.py)
     and this one stays usable at rank 30.  Alpha gives up j cells and beta
-    m - j, each at most its room, so only sizes both sides can supply are
+    m - j, each at most its rim, so only sizes both sides can supply are
     built.  Each side's statistics come from its walk, so a pair is scored
     by adding two triples: delta is ONE on the empty strip and
     _delta_value(m, parity of joins, e) otherwise.
@@ -380,8 +378,8 @@ def broken_strip_removals(
     if m == 0:
         yield outer, ONE
         return
-    lo = max(0, m - _room(outer.beta)[0])
-    for j in range(lo, min(m, _room(outer.alpha)[0]) + 1):
+    lo = max(0, m - _rim(outer.beta))
+    for j in range(lo, min(m, _rim(outer.alpha)) + 1):
         inners_b, stats_b = _no_2x2_inners(outer.beta, m - j)
         inners_a, stats_a = _no_2x2_inners(outer.alpha, j)
         for ia, (ma, ja, ea) in zip(inners_a, stats_a):
@@ -397,19 +395,19 @@ def single_strip_removals(
 
     The strip lives entirely in alpha or entirely in beta; these are the
     only removals with delta_bar != 0.  A side is walked only when m is
-    within its room, so no walk comes back empty; its inners with one
+    within its rim, so no walk comes back empty; its inners with one
     component are scored by the corner rule.
     """
     check_kind(kind)
     if m == 0:
         return
     alpha, beta = outer
-    if m <= _room(alpha)[0]:
+    if m <= _rim(alpha):
         shift = 1 if kind == "B" else 0
         for ia, stats in zip(*_no_2x2_inners(alpha, m)):
             if stats[0] == 1:
                 yield BiPartition(ia, beta), _strip_value(alpha, ia, stats, shift, 1)
-    if m <= _room(beta)[0]:
+    if m <= _rim(beta):
         for ib, stats in zip(*_no_2x2_inners(beta, m)):
             if stats[0] == 1:
                 yield BiPartition(alpha, ib), _strip_value(beta, ib, stats, 0, -1)

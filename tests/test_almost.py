@@ -199,7 +199,7 @@ def test_trace_engine_runs_without_the_cell_oracle():
         ]
 
     want = reports()
-    for cached in ("_room", "_no_2x2_inners", "_triple", "_delta_value", "_delta_bar_value"):
+    for cached in ("_no_2x2_inners", "_triple", "_delta_value", "_delta_bar_value"):
         getattr(shapes_module, cached).cache_clear()
     hecke_module._removal_table.cache_clear()
     assert reports() == want
@@ -379,15 +379,16 @@ def test_orthogonality_check_passes():
         assert report.fields["mismatches"] == []
 
 
-def test_orthogonality_check_detects_corruption():
+def test_orthogonality_check_detects_corruption(monkeypatch):
     # negative control: poison a single trace and the check must fail
-    def crooked(lam, cycles):
-        value = mn_trace("B", lam, br_from_cycles("B", cycles))
-        if lam == bp([2], []) and cycles == (2,):
+    def crooked(kind, lam, br, context=None):
+        value = mn_trace(kind, lam, br, context=context)
+        if lam == bp([2], []) and br.cycles == (2,):
             return value + hl([(0, 1)])
         return value
 
-    report = orthogonality_check(2, trace_fn=crooked)
+    monkeypatch.setattr(almost_module, "mn_trace", crooked)
+    report = orthogonality_check(2)
     assert report.verdict == "fail"
     assert report.fields["mismatches"]
 

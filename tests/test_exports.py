@@ -1,5 +1,6 @@
 """The package's public names: every name a module lists in __all__, and
-every name the package exports, exists and is its home module's object."""
+every name the package exports, exists and is its home module's object.
+Also the package's process-wide caches, which the docs list by name."""
 
 import importlib
 import pkgutil
@@ -55,3 +56,26 @@ def test_every_name_the_package_imports_resolves():
     from almostchar import hecke
 
     assert hecke is importlib.import_module("almostchar.hecke")
+
+
+#: every module-level functools cache, by the module that defines it; the
+#: README, the Config, MNContext and _removal_table docstrings and the open
+#: CHANGES.md line on unbounded caches name these
+CACHES = {
+    "shapes": {"_no_2x2_inners", "_triple", "_delta_value", "_delta_bar_value",
+               "partitions_in_box"},
+    "hecke": {"_removal_table", "st_bitableaux"},
+    "symbols": set(),
+    "almost": set(),
+    "halflaurent": set(),
+}
+
+
+def test_the_module_level_caches_are_the_listed_ones():
+    for module, names in CACHES.items():
+        home = importlib.import_module(f"almostchar.{module}")
+        found = {
+            name for name, value in vars(home).items()
+            if hasattr(value, "cache_info") and value.__module__ == home.__name__
+        }
+        assert found == names, module

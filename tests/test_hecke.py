@@ -24,6 +24,7 @@ from almostchar.hecke import (
     valid_d_cycle_lists,
 )
 from almostchar.shapes import (
+    BiPartition,
     bipartition,
     bipartitions_of,
     delta,
@@ -228,6 +229,25 @@ def test_mn_trace_errors():
         mn_trace("B", bp([1], [1]), br_from_cycles("B", [3]))
     with pytest.raises(ValueError):
         mn_trace("D", bp([1], [1]), br_from_cycles("D", [2]))
+
+
+def test_mn_trace_rejects_a_bipartition_that_is_not_a_pair_of_partitions():
+    br = br_from_cycles("B", (-2, 12, 16))
+    for lam, bad in (
+        (BiPartition((2,), (12, 16)), r"\(12, 16\)"),  # unsorted: was a silent 0
+        (BiPartition((2, 0), (16, 12)), r"\(2, 0\)"),  # a zero part
+        (BiPartition([2], (16, 12)), r"\[2\]"),  # not a tuple
+        (BiPartition((2,), (16, True)), r"\(16, True\)"),  # not an int
+    ):
+        with pytest.raises(ValueError, match=bad + " in .* is not a partition"):
+            mn_trace("B", lam, br)
+    # a bipartition built directly from partitions keeps its value
+    assert mn_trace("B", BiPartition((2,), (16, 12)), br) == hl(
+        [(56, 1), (54, -7), (52, 22), (50, -30), (48, 20), (46, -6), (44, 1)]
+    )
+    assert mn_trace("B", BiPartition((3, 1), ()), br_from_cycles("B", [4])) == mn_trace(
+        "B", bp([3, 1], []), br_from_cycles("B", [4])
+    )
 
 
 def test_mn_trace_rejects_a_context_built_for_another_element():

@@ -14,7 +14,7 @@ from almostchar.shapes import (
     BiPartition,
     SkewBiShape,
     _no_2x2_inners,
-    _room,
+    _rim,
     _side_stats,
     bipartition,
     bipartitions_of,
@@ -219,10 +219,21 @@ def test_every_size_up_to_the_room_occurs():
         for outer in partitions_of(n):
             below = outer[1:] + (0,)
             room = sum(o - max(b - 1, 0) for o, b in zip(outer, below))
-            assert _room(outer)[0] == room, outer
+            assert _rim(outer) == room, outer
             for r in range(room + 1):
                 assert _no_2x2_inners(outer, r)[0], (outer, r)
             assert _no_2x2_inners(outer, room + 1) == ((), ()), outer
+
+
+def test_the_room_of_rows_i_on_is_their_rim():
+    # the walk bounds rows i.. by outer_i + len(outer) - i - 1, the hook
+    # length of the row's first cell; the oracle is the row-criterion sum
+    for n in range(15):
+        for outer in partitions_of(n):
+            below = outer[1:] + (0,)
+            for i in range(len(outer)):
+                room = sum(o - max(b - 1, 0) for o, b in zip(outer[i:], below[i:]))
+                assert outer[i] + len(outer) - i - 1 == room, (outer, i)
 
 
 def test_content_conventions():
