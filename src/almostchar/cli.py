@@ -48,11 +48,17 @@ def _json_arg(text: str, what: str):
         raise ValueError(f"{what} is not valid JSON: {e}") from None
 
 
-def _parse_row(text: str) -> list:
-    text = text.strip()
-    if not text:
-        return []
-    return [int(x) for x in text.split(",")]
+def _distinct(row, what: str):
+    """row itself, unless it repeats an entry (every symbol row and family
+    key row is a set, so a repeat is a typo, not a merge)."""
+    if len(set(row)) != len(row):
+        raise ValueError(f"{what} repeats an entry: {','.join(map(str, row))}")
+    return row
+
+
+def _parse_row(text: str | None, flag: str) -> list:
+    text = (text or "").strip()
+    return _distinct([int(x) for x in text.split(",")] if text else [], flag)
 
 
 def _parse_symbol(args):
@@ -61,8 +67,9 @@ def _parse_symbol(args):
         if args.S is not None or args.T is not None:
             raise ValueError("give the symbol either as --symbol or as --S/--T, not both")
         obj = _json_arg(args.symbol, "--symbol")
-        return shift_canonicalize(obj["S"], obj["T"])
-    return shift_canonicalize(_parse_row(args.S or ""), _parse_row(args.T or ""))
+        return shift_canonicalize(_distinct(obj["S"], "--symbol S"),
+                                  _distinct(obj["T"], "--symbol T"))
+    return shift_canonicalize(_parse_row(args.S, "--S"), _parse_row(args.T, "--T"))
 
 
 def _parse_bipartition(text: str):
@@ -128,10 +135,8 @@ def _family_key(args):
         return dec.Z1, dec.Z2
     if args.Z1 is None:
         raise ValueError("give either --symbol, --S/--T or --Z1/--Z2")
-    rows = _parse_row(args.Z1), _parse_row(args.Z2 or "")
+    rows = _parse_row(args.Z1, "--Z1"), _parse_row(args.Z2, "--Z2")
     for flag, row in zip(("--Z1", "--Z2"), rows):
-        if len(set(row)) != len(row):
-            raise ValueError(f"{flag} repeats an entry: {','.join(map(str, row))}")
         if any(x < 0 for x in row):
             raise ValueError(f"{flag} has a negative entry: {','.join(map(str, row))}")
     return tuple(rows[0]), tuple(rows[1])

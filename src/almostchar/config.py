@@ -24,18 +24,19 @@ class Config(NamedTuple("Limits", [("max_rank", int), ("memo_budget", int)])):
     defaults to NO_LIMITS; there is no None form.  The CLI builds one from
     --max-rank and --memo-budget, whose defaults are this class's.  The
     memo budget caps each trace context's memo only.  The strip-removal
-    tables (hecke._removal_table) and the walk cache beneath them
-    (shapes._no_2x2_inners, each inner with its strip statistics) last as
-    long as the process and have no limit.
+    tables (hecke._removal_table, the one strip cache) last as long as the
+    process and have no limit; the strip walk beneath them is not cached,
+    but recomputed for each table.  Each limit must be an int (not a bool).
     """
 
     __slots__ = ()
 
     def __new__(cls, max_rank: int = 20, memo_budget: int = 5_000_000):
-        if max_rank < 1:
-            raise ValueError("max_rank must be >= 1")
-        if memo_budget < 1:
-            raise ValueError("memo_budget must be >= 1")
+        for name, limit in (("max_rank", max_rank), ("memo_budget", memo_budget)):
+            if isinstance(limit, bool) or not isinstance(limit, int):
+                raise ValueError(f"{name} must be an integer, got {limit!r}")
+            if limit < 1:
+                raise ValueError(f"{name} must be >= 1")
         return super().__new__(cls, max_rank, memo_budget)
 
     @classmethod

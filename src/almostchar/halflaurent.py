@@ -109,6 +109,8 @@ class HalfLaurent:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "HalfLaurent":
+        if type(n) is not int:
+            raise TypeError(f"power must be an int, got {n!r}")
         if n < 0:
             raise ValueError("negative powers are not defined here; divide explicitly")
         out = ONE

@@ -135,9 +135,9 @@ def _removal_table(outer: BiPartition, size: int, bar_kind: str | None) -> tuple
     none is filtered out: a shape with no 2x2 block has delta =
     +-u^(e/2) * U^(m-1), and a connected strip has a delta_bar equal to one
     +-monomial.  Each factor is a shared value, not a copy.  One table per
-    key for the life of the process, with no limit, like the walk cache
-    beneath it (shapes._no_2x2_inners); these two are the unbounded strip
-    caches.
+    key for the life of the process, with no limit: this is the one strip
+    cache.  The shapes walk beneath it is recomputed for each table built,
+    since no table reads a walk twice.
     """
     if bar_kind is None:
         pairs = broken_strip_removals(outer, size)
@@ -154,10 +154,9 @@ class MNContext:
     config's memo_budget (none by default) is a loose cap on stored
     entries; going past it raises ResourceGuardError instead of thrashing.
     The memo is the context's own, and the budget bounds nothing else: the
-    strip-removal tables it reads (_removal_table), and the walk cache in
-    shapes beneath them (_no_2x2_inners, each walk's inners with their
-    strip statistics), are shared by every context in the process, last as
-    long as it and have no limit.
+    strip-removal tables it reads (_removal_table, the one strip cache) are
+    shared by every context in the process, last as long as it and have no
+    limit.  The strip walk beneath them is recomputed for each table.
     steps holds (size, bar_kind) per cycle of br.cycles, bar_kind being
     None for a plain cycle and the kind for a barred one.
     """

@@ -35,10 +35,12 @@ adjacent rows that share a column, and e, the exponent of u^(1/2)):
 
 The strip enumerators score their removals without building a skew
 shape: the walk that finds a side's inners of one size gathers each
-inner's statistics as it chooses the rows (cached per side and size, for
-the life of the process), and a removal is scored from the triples of its
-two sides.  delta and delta_bar score an arbitrary skew shape by one scan
-of its rows (_side_stats), which the tests also hold the walk to.
+inner's statistics as it chooses the rows, and a removal is scored from
+the triples of its two sides.  The walk is not cached: it runs again for
+each removal table that needs it, and hecke._removal_table, which holds
+the scored removals, is the one strip cache.  delta and delta_bar score
+an arbitrary skew shape by one scan of its rows (_side_stats), which the
+tests also hold the walk to.
 
 A slower, cell-based version of both statistics and of the removal
 enumeration lives in tests/cells.py, as the tests' independent oracle for
@@ -165,7 +167,6 @@ def bipartitions_of(n: int) -> Iterator[BiPartition]:
                 yield BiPartition(a, b)
 
 
-@lru_cache(maxsize=None)
 def partitions_in_box(rows: int, cols: int) -> tuple[Partition, ...]:
     """All partitions with at most `rows` parts, each at most `cols`.
 
@@ -296,7 +297,6 @@ def _rim(outer: Partition) -> int:
     return outer[0] + len(outer) - 1 if outer else 0
 
 
-@lru_cache(maxsize=None)
 def _no_2x2_inners(outer: Partition, removed: int) -> tuple[tuple, tuple]:
     """(inners, stats): the sub-partitions inner with |outer/inner| = removed
     and no 2x2 block, in sorted order, and each one's _side_stats triple.
@@ -311,7 +311,8 @@ def _no_2x2_inners(outer: Partition, removed: int) -> tuple[tuple, tuple]:
     rows below are kept whole, which the row above allows unless it joins
     them.  The statistics are gathered on the way: row i is in the strip
     when v < outer_i and joins row i+1 when v == outer_{i+1} - 1; the cells
-    number `removed`.  Equal triples are one shared object.
+    number `removed`.  Nothing is cached here: one removal table
+    (hecke._removal_table) walks each side and size at most once.
     """
     if removed > _rim(outer):
         return (), ()
@@ -351,14 +352,8 @@ def _no_2x2_inners(outer: Partition, removed: int) -> tuple[tuple, tuple]:
             joins += lo == join
         if i == n_rows or prev >= outer[i]:
             inners.append(prefix + outer[i:])
-            stats.append(_triple(rows - joins, joins, removed - rows - joins))
+            stats.append((rows - joins, joins, removed - rows - joins))
     return tuple(inners), tuple(stats)
-
-
-@lru_cache(maxsize=None)
-def _triple(m: int, joins: int, e: int) -> tuple[int, int, int]:
-    """The one shared (m, joins, e) statistics triple per value."""
-    return m, joins, e
 
 
 def broken_strip_removals(

@@ -2,6 +2,7 @@
 reports built on top of them."""
 
 import ast
+import functools
 import threading
 from fractions import Fraction
 from pathlib import Path
@@ -199,31 +200,40 @@ def test_trace_engine_runs_without_the_cell_oracle():
         ]
 
     want = reports()
-    for cached in ("_no_2x2_inners", "_triple", "_delta_value", "_delta_bar_value"):
+    for cached in ("_delta_value", "_delta_bar_value"):
         getattr(shapes_module, cached).cache_clear()
     hecke_module._removal_table.cache_clear()
     assert reports() == want
 
 
 def test_strip_enumeration_asks_only_for_sizes_a_side_can_supply(monkeypatch):
-    # each side gives up at most its room, so no cached _no_2x2_inners entry
-    # is an empty walk
+    # each side gives up at most its rim, so no walk comes back empty; and
+    # one table build walks each side and size at most once, which is why
+    # the walk needs no cache of its own
+    builds = []  # per table build: its outer and the (side, size) of each walk
     empty = []
     walk = shapes_module._no_2x2_inners
+    build = hecke_module._removal_table.__wrapped__
 
-    def recorded(outer, removed):
+    def recorded_walk(outer, removed):
         inners, stats = walk(outer, removed)
         if not inners:
             empty.append((outer, removed))
+        builds[-1][1].append((outer, removed))
         return inners, stats
 
-    monkeypatch.setattr(shapes_module, "_no_2x2_inners", recorded)
-    walk.cache_clear()
-    hecke_module._removal_table.cache_clear()
+    def recorded_build(outer, size, bar_kind):
+        builds.append((outer, []))
+        return build(outer, size, bar_kind)
+
+    monkeypatch.setattr(shapes_module, "_no_2x2_inners", recorded_walk)
+    monkeypatch.setattr(hecke_module, "_removal_table", functools.cache(recorded_build))
     recursion_check(5, 4, [8, 12])
     orthogonality_check(4)
-    assert walk.cache_info().currsize > 0
+    assert sum(len(walked) for _, walked in builds) > len(builds) > 0
     assert empty == []
+    for outer, walked in builds:  # a side equal to the other may be walked for each
+        assert all(walked.count(w) <= outer.count(w[0]) for w in walked), (outer, walked)
 
 
 def test_each_removal_table_is_enumerated_once_per_process(monkeypatch):
@@ -443,6 +453,21 @@ def test_config_record():
         with pytest.raises(AttributeError):
             setattr(config, name, 5)
     assert (config.max_rank, config.memo_budget) == (30, 7)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, 30.0, Fraction(30), "30", None])
+def test_config_refuses_a_limit_that_is_not_an_int(bad):
+    # a bool or a float is not a count, whichever way the Config is built
+    config = Config(30, 7)
+    for name in ("max_rank", "memo_budget"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            Config(**{name: bad})
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            config._replace(**{name: bad})
+    with pytest.raises(ValueError, match="max_rank must be an integer"):
+        Config._make((bad, 7))
+    with pytest.raises(ValueError, match="memo_budget must be an integer"):
+        Config(5, bad)
 
 
 def test_report_record():

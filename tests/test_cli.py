@@ -189,6 +189,13 @@ def test_resource_guards_exit_three(capsys):
         # negative box sides whose product is within the rank limit
         ["enumerate", "pab", "--a", "-30", "--b", "-1"],
         ["fab", "--a", "-6", "--b", "-5", "--cycles", "[30]"],
+        # a repeated entry in a symbol row, given as --S/--T or as --symbol
+        ["symbol", "info", "--S", "0,0,1", "--T", ""],
+        ["symbol", "info", "--S", "0,1,2", "--T", "1,1"],
+        ["flambda", "--kind", "B", "--S", "0,1,2,2", "--T", "", "--cycles", "[2]"],
+        ["flambda", "--kind", "B", "--symbol", '{"S":[0,1,1],"T":[]}', "--cycles", "[2]"],
+        ["symbol", "info", "--symbol", '{"S":[0,1],"T":[3,3]}'],
+        ["family", "pairing-matrix", "--kind", "B", "--S", "0,1,1", "--T", ""],
     ],
 )
 def test_malformed_input_exit_two(capsys, argv):

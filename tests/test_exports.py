@@ -1,9 +1,13 @@
 """The package's public names: every name a module lists in __all__, and
 every name the package exports, exists and is its home module's object.
-Also the package's process-wide caches, which the docs list by name."""
+Also the package's process-wide caches, which the docs list by name, and
+its imports, which stay within the standard library."""
 
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,10 +64,10 @@ def test_every_name_the_package_imports_resolves():
 
 #: every module-level functools cache, by the module that defines it; the
 #: README, the Config, MNContext and _removal_table docstrings and the open
-#: CHANGES.md line on unbounded caches name these
+#: CHANGES.md line on unbounded caches name _removal_table as the one strip
+#: cache (the strip walk, shapes._no_2x2_inners, is recomputed per table)
 CACHES = {
-    "shapes": {"_no_2x2_inners", "_triple", "_delta_value", "_delta_bar_value",
-               "partitions_in_box"},
+    "shapes": {"_delta_value", "_delta_bar_value"},
     "hecke": {"_removal_table", "st_bitableaux"},
     "symbols": set(),
     "almost": set(),
@@ -79,3 +83,20 @@ def test_the_module_level_caches_are_the_listed_ones():
             if hasattr(value, "cache_info") and value.__module__ == home.__name__
         }
         assert found == names, module
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    # every import in the package is relative or names a stdlib module,
+    # whether it sits at module level or inside a function
+    paths = sorted(Path(almostchar.__file__).parent.glob("*.py"))
+    assert {"cli.py", "hecke.py", "shapes.py"} <= {path.name for path in paths}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            outside = [m for m in modules if m.split(".")[0] not in sys.stdlib_module_names]
+            assert outside == [], (path.name, outside)

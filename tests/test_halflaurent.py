@@ -175,6 +175,13 @@ def test_scalar_multiplication_refuses_a_bool(flag):
             x * flag
 
 
+@pytest.mark.parametrize("power", [True, False, 1.0, 2.5, Fraction(2), "2"])
+def test_pow_refuses_an_exponent_that_is_not_an_int(power):
+    for x in (u_power(1), U, ZERO):
+        with pytest.raises(TypeError):
+            x ** power
+
+
 def test_hashable_and_usable_as_dict_key():
     table = {U: "strip factor", ONE: "unit"}
     assert table[HalfLaurent([(1, 1), (-1, -1)])] == "strip factor"
