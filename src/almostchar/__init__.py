@@ -17,11 +17,11 @@ _HOMES = {
     "symbols": "Family FamilyDecomposition Symbol bipartition_from_symbol enumerate_P_ab "
                "enumerate_symbols family_decompose family_members is_special m2_unipotent "
                "pairing rank_defect shift_canonicalize special_cuspidal symbol_from_bipartition",
-    "hecke": "BrSequence MNContext TraceCache br_from_cycles centralizer_order_B class_reps "
-             "l_prime mn_trace st_bitableaux",
-    "almost": "VerificationReport cuspidal_pair_sign delta_const d_swap_diagnostic f_ab "
-              "f_cuspidal_via_rectangles f_lambda involution_check m2_check "
-              "orthogonality_check prop_cycles recursion_check verify_nonvanishing",
+    "hecke": "BrSequence MNContext TraceCache VerificationReport br_from_cycles "
+             "centralizer_order_B class_reps l_prime mn_trace orthogonality_check st_bitableaux",
+    "almost": "cuspidal_pair_sign delta_const d_swap_diagnostic f_ab f_cuspidal_via_rectangles "
+              "f_lambda involution_check m2_check prop_cycles recursion_check "
+              "verify_nonvanishing",
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names.split()}
 

@@ -7,8 +7,8 @@ symbol this sum collapses, up to the constant delta_const, to the signed
 sum f_ab over one rectangle's worth of bipartitions; both routes are
 implemented and compared in the tests.
 
-The checks, each returning a VerificationReport that a caller can audit
-from the emitted value alone:
+The checks, each returning a VerificationReport (defined in hecke) that a
+caller can audit from the emitted value alone:
 
 * verify_nonvanishing: f of the cuspidal symbol at the recipe cycle type
   prop_cycles(kind, d) is a nonzero polynomial ("prop-7.13" for kind B,
@@ -16,7 +16,9 @@ from the emitted value alone:
 * recursion_check: f_ab factors exactly through the two-strip truncation
   with a quotient vanishing at u = 1 ("lemma-7.12");
 * orthogonality_check: traces specialized at u = 1 satisfy second
-  orthogonality against centralizer orders;
+  orthogonality against centralizer orders (defined in hecke, which sums
+  the table in integers, and imported here too; `verify orthogonality`
+  loads neither this module nor symbols);
 * involution_check / m2_check: the family pairing matrix squares to the
   identity, and pairing against the m2 multiplicities sums to 1;
 * d_swap_diagnostic: reports (without asserting) whether kind D traces
@@ -28,17 +30,17 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple
 
-from .config import NO_LIMITS, Config
+from .config import NO_LIMITS, Config, check_int
 from .halflaurent import ZERO, HalfLaurent, frac_str, hl_exact_div
 from .hecke import (
     BrSequence,
     MNContext,
+    VerificationReport,
+    _elapsed_ms,
     br_from_cycles,
-    centralizer_order_B,
-    class_reps,
     mn_trace,
+    orthogonality_check,
     valid_d_cycle_lists,
 )
 from .shapes import BiPartition, bipartitions_of
@@ -72,32 +74,6 @@ __all__ = [
     "m2_check",
     "d_swap_diagnostic",
 ]
-
-
-class VerificationReport(NamedTuple):
-    claim: str
-    verdict: str  # pass | fail | inconclusive
-    fields: dict
-    notes: tuple = ()
-    ms: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-    def to_json_obj(self, include_timing: bool = True) -> dict:
-        doc = {"claim": self.claim}
-        doc.update(self.fields)
-        doc["verdict"] = self.verdict
-        if self.notes:
-            doc["notes"] = list(self.notes)
-        if include_timing:
-            doc["ms"] = self.ms
-        return doc
-
-
-def _elapsed_ms(t0: float) -> int:
-    return int((time.monotonic() - t0) * 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +118,12 @@ def f_ab(a: int, b: int, cycles, config: Config = NO_LIMITS) -> HalfLaurent:
     sign (-1)^|alpha| is orientation-independent because the two sides
     have equal size parity.  Everything else is kind B.
     """
+    if check_int("a", a) < 0 or check_int("b", b) < 0:
+        raise ValueError("box dimensions must be nonnegative")
     kind = "D" if a == b and a > 0 else "B"
     br = br_from_cycles(kind, cycles)
     if br.n != a * b:
         raise ValueError(f"cycle total {br.n} != box size {a * b}")
-    if a < 0 or b < 0:
-        raise ValueError("box dimensions must be nonnegative")
     config.check_rank(a * b)
     terms = []
     for bp in enumerate_P_ab(a, b, unordered=(kind == "D")):
@@ -160,7 +136,7 @@ def f_ab(a: int, b: int, cycles, config: Config = NO_LIMITS) -> HalfLaurent:
 def delta_const(kind: str, d: int) -> Fraction:
     """The constant relating f of the cuspidal symbol to the rectangle sum."""
     check_kind(kind)
-    if d < 1:
+    if check_int("d", d) < 1:
         raise ValueError("d must be positive")
     if kind == "B":
         return Fraction((-1) ** (d * (d + 1) // 2), 2 ** d)
@@ -216,7 +192,7 @@ def prop_cycles(kind: str, d: int) -> tuple:
     terminal lengths 8d-10, 8d-6.
     """
     check_kind(kind)
-    if d < 1:
+    if check_int("d", d) < 1:
         raise ValueError("d must be positive")
     if kind == "B":
         r = d % 4
@@ -326,50 +302,11 @@ def recursion_check(a: int, b: int, cycles, config: Config = NO_LIMITS) -> Verif
     return VerificationReport("lemma-7.12", verdict, fields, notes, ms=_elapsed_ms(t0))
 
 
-def orthogonality_check(n: int, config: Config = NO_LIMITS) -> VerificationReport:
-    """Second orthogonality of the u = 1 trace table against centralizers,
-    with one shared trace context per class."""
-    t0 = time.monotonic()
-    config.check_rank(n)
-    reps = class_reps(n)
-    bps = list(bipartitions_of(n))
-    vectors = []
-    for cycles in reps:
-        br = br_from_cycles("B", cycles)
-        context = MNContext(br, config)
-        vectors.append([mn_trace("B", bp, br, context=context).eval_one() for bp in bps])
-    mismatches = []
-    for i, wi in enumerate(reps):
-        for j in range(i, len(reps)):
-            got = sum(map(mul, vectors[i], vectors[j]))
-            expect = centralizer_order_B(wi) if i == j else 0
-            if got != expect:
-                mismatches.append(
-                    {
-                        "w": list(wi),
-                        "w2": list(reps[j]),
-                        "got": frac_str(Fraction(got)),
-                        "expected": str(expect),
-                    }
-                )
-    return VerificationReport(
-        claim="mn-orthogonality",
-        verdict="pass" if not mismatches else "fail",
-        fields={
-            "kind": "B",
-            "n": n,
-            "classes": len(reps),
-            "mismatches": mismatches,
-        },
-        ms=_elapsed_ms(t0),
-    )
-
-
 def _family_decompositions(n: int, kind: str, config: Config = NO_LIMITS):
     """(rank, family, member decompositions) for every non-degenerate
     family of rank at most n."""
     check_kind(kind)
-    if n < 0:
+    if check_int("n", n) < 0:
         raise ValueError("rank must be nonnegative")
     config.check_rank(n)
     for r in range(n + 1):
@@ -431,7 +368,7 @@ def d_swap_diagnostic(n: int, config: Config = NO_LIMITS) -> VerificationReport:
     bipartition over every admissible cycle list of total n.  Reports
     asymmetries without treating them as failures."""
     t0 = time.monotonic()
-    if n < 0:
+    if check_int("n", n) < 0:
         raise ValueError("rank must be nonnegative")
     config.check_rank(n)
     asymmetries = []

@@ -12,9 +12,10 @@ Start-up loads only what the command runs: this module needs argparse,
 json and config, and each handler imports the engine names it calls.
 --help loads nothing more; symbol, family list / pairing-matrix and
 enumerate commands load symbols (with shapes and halflaurent); mn eval
-loads hecke without symbols; flambda, fab, verify, diagnose and family
-involution-check load almost, and with it the whole engine.  csv loads
-only for --format csv.
+and verify orthogonality load hecke (with shapes and halflaurent) but
+neither symbols nor almost; flambda, fab, the other verify commands,
+diagnose and family involution-check load almost, and with it the whole
+engine.  csv loads only for --format csv.
 """
 
 from __future__ import annotations
@@ -224,8 +225,8 @@ def _cmd_verify_recursion(args, config):
 
 
 def _cmd_verify_orthogonality(args, config):
-    from . import almost
-    return _report_doc(args, almost.orthogonality_check(args.n, config))
+    from .hecke import orthogonality_check
+    return _report_doc(args, orthogonality_check(args.n, config))
 
 
 def _cmd_verify_m2(args, config):

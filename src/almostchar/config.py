@@ -5,7 +5,18 @@ from __future__ import annotations
 import sys
 from typing import NamedTuple
 
-__all__ = ["Config", "NO_LIMITS", "ResourceGuardError"]
+__all__ = ["Config", "NO_LIMITS", "ResourceGuardError", "check_int"]
+
+
+def check_int(name: str, value) -> int:
+    """value, if it is an int and not a bool; else ValueError naming it.
+
+    The one check for a count (a limit, a rank, d, a box side): a bool or
+    a float is not a count, even where it would compare like one.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 class ResourceGuardError(RuntimeError):
@@ -23,19 +34,19 @@ class Config(NamedTuple("Limits", [("max_rank", int), ("memo_budget", int)])):
     Every library entry point takes its limits as a Config, and each
     defaults to NO_LIMITS; there is no None form.  The CLI builds one from
     --max-rank and --memo-budget, whose defaults are this class's.  The
-    memo budget caps each trace context's memo only.  The strip-removal
-    tables (hecke._removal_table, the one strip cache) last as long as the
-    process and have no limit; the strip walk beneath them is not cached,
-    but recomputed for each table.  Each limit must be an int (not a bool).
+    memo budget caps each of a trace context's two memos (the exact one
+    and the u = 1 one) only.  The strip-removal tables (hecke._removal_table
+    and hecke._removal_table_at_one, the two strip caches) last as long as
+    the process and have no limit; the strip walk beneath them is not
+    cached, but recomputed for each table.  Each limit must be an int (not
+    a bool; check_int is the shared check).
     """
 
     __slots__ = ()
 
     def __new__(cls, max_rank: int = 20, memo_budget: int = 5_000_000):
         for name, limit in (("max_rank", max_rank), ("memo_budget", memo_budget)):
-            if isinstance(limit, bool) or not isinstance(limit, int):
-                raise ValueError(f"{name} must be an integer, got {limit!r}")
-            if limit < 1:
+            if check_int(name, limit) < 1:
                 raise ValueError(f"{name} must be >= 1")
         return super().__new__(cls, max_rank, memo_budget)
 

@@ -28,25 +28,39 @@ Kind D accepts only two barred patterns: no bars at all, or a leading
 [-1, -c, ...] pair followed by plain cycles; and its traces are defined
 here only for bipartitions with distinct components.
 
+At u = 1 (u^(1/2) = 1, so U = 0) a trace specializes to a character
+value of the Weyl group (Tits deformation), and MNContext.chain_at_one
+computes it in integers, over a second table per step that keeps only
+the removals whose factor is nonzero at u = 1 (for a plain step, the
+strips of one component), each valued +-1.  The two tables are the
+module's strip caches; both last as long as the process, with no limit.
+
 The module also carries the small self-check oracles: class
 representatives and centralizer orders for the signed permutation group,
-and the standard bitableaux count.
+the standard bitableaux count, and orthogonality_check, the second
+orthogonality of the u = 1 trace table, with the VerificationReport
+record that every check returns.  So `verify orthogonality` loads this
+module (with shapes, halflaurent and config) and neither symbols nor
+almost.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 from collections import Counter
 from functools import cache
 from math import factorial
+from operator import mul
 from pathlib import Path
 from typing import NamedTuple
 
-from .config import NO_LIMITS, Config, ResourceGuardError
-from .halflaurent import ONE, ZERO, HalfLaurent, _from_clean, half_power
+from .config import NO_LIMITS, Config, ResourceGuardError, check_int
+from .halflaurent import ONE, ZERO, HalfLaurent, _from_clean, frac_str, half_power
 from .shapes import (
     BiPartition,
+    bipartitions_of,
     broken_strip_removals,
     check_kind,
     partitions_of,
@@ -60,11 +74,13 @@ __all__ = [
     "MNContext",
     "mn_trace",
     "TraceCache",
+    "VerificationReport",
     "class_reps",
     "valid_d_cycle_lists",
     "centralizer_order_B",
     "st_bitableaux",
     "identity_cycles",
+    "orthogonality_check",
 ]
 
 
@@ -135,9 +151,10 @@ def _removal_table(outer: BiPartition, size: int, bar_kind: str | None) -> tuple
     none is filtered out: a shape with no 2x2 block has delta =
     +-u^(e/2) * U^(m-1), and a connected strip has a delta_bar equal to one
     +-monomial.  Each factor is a shared value, not a copy.  One table per
-    key for the life of the process, with no limit: this is the one strip
-    cache.  The shapes walk beneath it is recomputed for each table built,
-    since no table reads a walk twice.
+    key for the life of the process, with no limit, like its u = 1
+    counterpart _removal_table_at_one; these two are the strip caches.  The
+    shapes walk beneath them is recomputed for each table built, since no
+    table reads a walk twice.
     """
     if bar_kind is None:
         pairs = broken_strip_removals(outer, size)
@@ -146,19 +163,39 @@ def _removal_table(outer: BiPartition, size: int, bar_kind: str | None) -> tuple
     return tuple(zip(*pairs)) or ((), ())
 
 
+@cache
+def _removal_table_at_one(outer: BiPartition, size: int, bar_kind: str | None) -> tuple:
+    """((inner, value), ...): the removals of _removal_table(outer, size,
+    bar_kind) whose factor is nonzero at u = 1, each with that value, +-1.
+
+    U vanishes at u = 1, so a plain step keeps only the strips of one
+    component, which single_strip_removals yields with kind None, scored by
+    delta; a barred step keeps every strip.  The values come from the same
+    walk and scores as _removal_table's factors (factor.eval_one()), but
+    this table does not read that one.  One table per key for the life of
+    the process, with no limit, like _removal_table.
+    """
+    return tuple(
+        (inner, factor.eval_one())
+        for inner, factor in single_strip_removals(outer, size, bar_kind)
+    )
+
+
 class MNContext:
-    """Memoized chain summation for one element br.
+    """Memoized chain summation for one element br, exactly (chain_sum) or
+    at u = 1 in integers (chain_at_one).
 
     Share one context across the bipartitions of a sweep, evaluated one
     after another, so that they reuse each other's partial sums.  The
-    config's memo_budget (none by default) is a loose cap on stored
-    entries; going past it raises ResourceGuardError instead of thrashing.
-    The memo is the context's own, and the budget bounds nothing else: the
-    strip-removal tables it reads (_removal_table, the one strip cache) are
-    shared by every context in the process, last as long as it and have no
-    limit.  The strip walk beneath them is recomputed for each table.
-    steps holds (size, bar_kind) per cycle of br.cycles, bar_kind being
-    None for a plain cycle and the kind for a barred one.
+    config's memo_budget (none by default) is a loose cap on the entries
+    each of its two memos stores (one per recursion); going past it raises
+    ResourceGuardError instead of thrashing.  The memos are the context's
+    own, and the budget bounds nothing else: the strip-removal tables they
+    read (_removal_table and _removal_table_at_one, the two strip caches)
+    are shared by every context in the process, last as long as it and
+    have no limit.  The strip walk beneath them is recomputed for each
+    table.  steps holds (size, bar_kind) per cycle of br.cycles, bar_kind
+    being None for a plain cycle and the kind for a barred one.
     """
 
     def __init__(self, br: BrSequence, config: Config = NO_LIMITS):
@@ -167,6 +204,7 @@ class MNContext:
         self.prefactor = half_power(l_prime(br))
         self.memo_budget = config.memo_budget
         self._memo: dict = {}
+        self._memo_at_one: dict = {}
 
     def chain_sum(self, outer: BiPartition, k: int) -> HalfLaurent:
         """Sum over the strip removals of the first k segments from outer,
@@ -190,6 +228,27 @@ class MNContext:
                 f"memo budget {self.memo_budget} exhausted at rank {self.br.n}"
             )
         self._memo[key] = total
+        return total
+
+    def chain_at_one(self, outer: BiPartition, k: int) -> int:
+        """chain_sum(outer, k) at u = 1, an integer: the same recursion over
+        the removals whose factor is nonzero there.  The prefactor is 1 at
+        u = 1, so chain_at_one(lam, len(steps)) is the trace of lam at
+        u = 1 for a bipartition lam that mn_trace accepts."""
+        if k == 0:
+            return 0 if outer.alpha or outer.beta else 1
+        key = (outer, k)
+        hit = self._memo_at_one.get(key)
+        if hit is not None:
+            return hit
+        total = 0
+        for inner, value in _removal_table_at_one(outer, *self.steps[k - 1]):
+            total += value * self.chain_at_one(inner, k - 1)
+        if len(self._memo_at_one) >= self.memo_budget:
+            raise ResourceGuardError(
+                f"memo budget {self.memo_budget} exhausted at rank {self.br.n}"
+            )
+        self._memo_at_one[key] = total
         return total
 
 
@@ -309,7 +368,7 @@ def class_reps(n: int) -> list:
     """One signed cycle list per conjugacy class of the signed permutation
     group: a pair of partitions (plain lengths, barred lengths).  Barred
     cycles come first, shortest first."""
-    if n < 1:
+    if check_int("n", n) < 1:
         raise ValueError("n must be >= 1")
     reps = []
     for k in range(n + 1):
@@ -352,3 +411,73 @@ def st_bitableaux(lam: BiPartition) -> int:
 
 def identity_cycles(n: int) -> tuple:
     return (1,) * n
+
+
+# ---------------------------------------------------------------------------
+# verification reports
+# ---------------------------------------------------------------------------
+
+
+class VerificationReport(NamedTuple):
+    claim: str
+    verdict: str  # pass | fail | inconclusive
+    fields: dict
+    notes: tuple = ()
+    ms: int = 0
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
+
+    def to_json_obj(self, include_timing: bool = True) -> dict:
+        doc = {"claim": self.claim}
+        doc.update(self.fields)
+        doc["verdict"] = self.verdict
+        if self.notes:
+            doc["notes"] = list(self.notes)
+        if include_timing:
+            doc["ms"] = self.ms
+        return doc
+
+
+def _elapsed_ms(t0: float) -> int:
+    return int((time.monotonic() - t0) * 1000)
+
+
+def orthogonality_check(n: int, config: Config = NO_LIMITS) -> VerificationReport:
+    """Second orthogonality of the u = 1 trace table against centralizers,
+    with one shared trace context per class, summed in integers by
+    MNContext.chain_at_one."""
+    t0 = time.monotonic()
+    config.check_rank(check_int("n", n))
+    reps = class_reps(n)
+    bps = list(bipartitions_of(n))
+    vectors = []
+    for cycles in reps:
+        context = MNContext(br_from_cycles("B", cycles), config)
+        vectors.append([context.chain_at_one(bp, len(context.steps)) for bp in bps])
+    mismatches = []
+    for i, wi in enumerate(reps):
+        for j in range(i, len(reps)):
+            got = sum(map(mul, vectors[i], vectors[j]))
+            expect = centralizer_order_B(wi) if i == j else 0
+            if got != expect:
+                mismatches.append(
+                    {
+                        "w": list(wi),
+                        "w2": list(reps[j]),
+                        "got": frac_str(got),
+                        "expected": str(expect),
+                    }
+                )
+    return VerificationReport(
+        claim="mn-orthogonality",
+        verdict="pass" if not mismatches else "fail",
+        fields={
+            "kind": "B",
+            "n": n,
+            "classes": len(reps),
+            "mismatches": mismatches,
+        },
+        ms=_elapsed_ms(t0),
+    )

@@ -37,8 +37,9 @@ The strip enumerators score their removals without building a skew
 shape: the walk that finds a side's inners of one size gathers each
 inner's statistics as it chooses the rows, and a removal is scored from
 the triples of its two sides.  The walk is not cached: it runs again for
-each removal table that needs it, and hecke._removal_table, which holds
-the scored removals, is the one strip cache.  delta and delta_bar score
+each removal table that needs it, and the tables that hold the scored
+removals (hecke._removal_table, and hecke._removal_table_at_one for the
+values at u = 1) are the strip caches.  delta and delta_bar score
 an arbitrary skew shape by one scan of its rows (_side_stats), which the
 tests also hold the walk to.
 
@@ -383,17 +384,21 @@ def broken_strip_removals(
 
 
 def single_strip_removals(
-    outer: BiPartition, m: int, kind: str
+    outer: BiPartition, m: int, kind: str | None
 ) -> Iterator[tuple[BiPartition, HalfLaurent]]:
     """(inner, delta_bar) for every inner bipartition whose difference with
-    outer is one connected border strip of size m.
+    outer is one connected border strip of size m; with kind None, (inner,
+    delta) for the same strips.
 
     The strip lives entirely in alpha or entirely in beta; these are the
-    only removals with delta_bar != 0.  A side is walked only when m is
-    within its rim, so no walk comes back empty; its inners with one
-    component are scored by the corner rule.
+    only removals with delta_bar != 0, and the broken strips whose delta
+    does not vanish at u = 1 (a strip of one component has no factor U).
+    A side is walked only when m is within its rim, so no walk comes back
+    empty; its inners with one component are scored by the corner rule,
+    or for kind None by _delta_value(1, parity of joins, e).
     """
-    check_kind(kind)
+    if kind is not None:
+        check_kind(kind)
     if m == 0:
         return
     alpha, beta = outer
@@ -401,8 +406,12 @@ def single_strip_removals(
         shift = 1 if kind == "B" else 0
         for ia, stats in zip(*_no_2x2_inners(alpha, m)):
             if stats[0] == 1:
-                yield BiPartition(ia, beta), _strip_value(alpha, ia, stats, shift, 1)
+                yield BiPartition(ia, beta), (
+                    _strip_value(alpha, ia, stats, shift, 1) if kind
+                    else _delta_value(1, stats[1] & 1, stats[2]))
     if m <= _rim(beta):
         for ib, stats in zip(*_no_2x2_inners(beta, m)):
             if stats[0] == 1:
-                yield BiPartition(alpha, ib), _strip_value(beta, ib, stats, 0, -1)
+                yield BiPartition(alpha, ib), (
+                    _strip_value(beta, ib, stats, 0, -1) if kind
+                    else _delta_value(1, stats[1] & 1, stats[2]))

@@ -31,6 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
+from .config import check_int
 from .shapes import (
     BiPartition,
     bipartitions_of,
@@ -284,7 +285,7 @@ def enumerate_symbols(n: int, kind: str) -> tuple:
     singleton family.  Families are sorted by (Z1, Z2).
     """
     check_kind(kind)
-    if n < 0:
+    if check_int("n", n) < 0:
         raise ValueError("rank must be nonnegative")
     families = []
     for bp in bipartitions_of(n):
@@ -312,7 +313,7 @@ def special_cuspidal(kind: str, d: int) -> tuple:
     family: rows {0..2d} / empty and evens / odds for kind B (rank d^2+d),
     rows {0..4d-1} / empty and evens / odds for kind D (rank 4d^2)."""
     check_kind(kind)
-    if d < 1:
+    if check_int("d", d) < 1:
         raise ValueError("d must be positive")
     top = 2 * d if kind == "B" else 4 * d - 1
     cuspidal = Symbol(tuple(range(top + 1)), ())
@@ -365,7 +366,7 @@ def enumerate_P_ab(a: int, b: int, unordered: bool = False) -> list:
     unordered=True, (alpha, beta) and (beta, alpha) are identified and the
     lexicographically larger side is kept first.
     """
-    if a < 0 or b < 0:
+    if check_int("a", a) < 0 or check_int("b", b) < 0:
         raise ValueError("box dimensions must be nonnegative")
     out = []
     seen = set()

@@ -31,9 +31,17 @@ from almostchar.almost import (
 )
 from almostchar.config import Config, ResourceGuardError
 from almostchar.halflaurent import HalfLaurent, ZERO
-from almostchar.hecke import class_reps, mn_trace, br_from_cycles, valid_d_cycle_lists
+from almostchar.hecke import (
+    MNContext,
+    br_from_cycles,
+    class_reps,
+    mn_trace,
+    valid_d_cycle_lists,
+)
 from almostchar.shapes import bipartition, bipartitions_of
 from almostchar.symbols import (
+    enumerate_P_ab,
+    enumerate_symbols,
     pairing,
     shift_canonicalize,
     special_cuspidal,
@@ -47,6 +55,18 @@ bp = bipartition
 
 def hl(pairs):
     return HalfLaurent(pairs)
+
+
+def trace_table(n):
+    """Every kind B trace of rank n, class by class, each class through one
+    shared context: the polynomial sweep that orthogonality_check made
+    before it summed the table at u = 1 in integers."""
+    table = []
+    for cycles in class_reps(n):
+        br = br_from_cycles("B", cycles)
+        context = MNContext(br)
+        table.append([mn_trace("B", lam, br, context=context) for lam in bipartitions_of(n)])
+    return table
 
 
 # -- scalar ingredients --------------------------------------------------------
@@ -194,7 +214,7 @@ def test_trace_engine_runs_without_the_cell_oracle():
             assert not any(m.split(".")[-1] == "cells" for m in modules), (path.name, modules)
 
     def reports():
-        return [
+        return [trace_table(4)] + [
             report.to_json_obj(include_timing=False)
             for report in (orthogonality_check(4), recursion_check(5, 4, [8, 12]))
         ]
@@ -203,6 +223,7 @@ def test_trace_engine_runs_without_the_cell_oracle():
     for cached in ("_delta_value", "_delta_bar_value"):
         getattr(shapes_module, cached).cache_clear()
     hecke_module._removal_table.cache_clear()
+    hecke_module._removal_table_at_one.cache_clear()
     assert reports() == want
 
 
@@ -229,7 +250,7 @@ def test_strip_enumeration_asks_only_for_sizes_a_side_can_supply(monkeypatch):
     monkeypatch.setattr(shapes_module, "_no_2x2_inners", recorded_walk)
     monkeypatch.setattr(hecke_module, "_removal_table", functools.cache(recorded_build))
     recursion_check(5, 4, [8, 12])
-    orthogonality_check(4)
+    trace_table(4)
     assert sum(len(walked) for _, walked in builds) > len(builds) > 0
     assert empty == []
     for outer, walked in builds:  # a side equal to the other may be walked for each
@@ -250,11 +271,11 @@ def test_each_removal_table_is_enumerated_once_per_process(monkeypatch):
 
         return enumerate_recorded
 
-    want = orthogonality_check(4).to_json_obj(include_timing=False)
+    want = trace_table(4)
     for name in ("broken_strip_removals", "single_strip_removals"):
         monkeypatch.setattr(hecke_module, name, recorded(name))
     hecke_module._removal_table.cache_clear()
-    assert orthogonality_check(4).to_json_obj(include_timing=False) == want
+    assert trace_table(4) == want
     assert {args[0] for args in asked} == {"broken_strip_removals", "single_strip_removals"}
     assert len(set(asked)) == len(asked)
 
@@ -262,7 +283,7 @@ def test_each_removal_table_is_enumerated_once_per_process(monkeypatch):
 def test_chain_sum_builds_one_value_per_memo_entry(monkeypatch):
     # each memo entry is accumulated in one dict: no ring addition at all,
     # and one product per trace, its prefactor
-    want = orthogonality_check(4).to_json_obj(include_timing=False)
+    want = trace_table(4)
     products = []
     plain_mul = HalfLaurent.__mul__
 
@@ -276,8 +297,8 @@ def test_chain_sum_builds_one_value_per_memo_entry(monkeypatch):
     monkeypatch.setattr(HalfLaurent, "__add__", refuse)
     monkeypatch.setattr(HalfLaurent, "__mul__", counted_mul)
     monkeypatch.setattr(HalfLaurent, "__rmul__", counted_mul)
-    assert orthogonality_check(4).to_json_obj(include_timing=False) == want
-    assert len(products) <= len(class_reps(4)) * len(list(bipartitions_of(4)))
+    assert trace_table(4) == want
+    assert 0 < len(products) <= len(class_reps(4)) * len(list(bipartitions_of(4)))
 
 
 def test_routes_agree():
@@ -390,14 +411,19 @@ def test_orthogonality_check_passes():
 
 
 def test_orthogonality_check_detects_corruption(monkeypatch):
-    # negative control: poison a single trace and the check must fail
-    def crooked(kind, lam, br, context=None):
-        value = mn_trace(kind, lam, br, context=context)
-        if lam == bp([2], []) and br.cycles == (2,):
-            return value + hl([(0, 1)])
-        return value
+    # negative control: poison a single u = 1 sign (the 2-strip off the row
+    # (2), which the trace of [2] at the class (2,) reads) and the check
+    # must fail
+    table = hecke_module._removal_table_at_one
 
-    monkeypatch.setattr(almost_module, "mn_trace", crooked)
+    def crooked(outer, size, bar_kind):
+        pairs = table(outer, size, bar_kind)
+        if (outer, size, bar_kind) == (bp([2], []), 2, None):
+            assert pairs == ((bp([], []), 1),)
+            return ((bp([], []), -1),)
+        return pairs
+
+    monkeypatch.setattr(hecke_module, "_removal_table_at_one", crooked)
     report = orthogonality_check(2)
     assert report.verdict == "fail"
     assert report.fields["mismatches"]
@@ -468,6 +494,36 @@ def test_config_refuses_a_limit_that_is_not_an_int(bad):
         Config._make((bad, 7))
     with pytest.raises(ValueError, match="memo_budget must be an integer"):
         Config(5, bad)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("n", lambda x: orthogonality_check(x)),
+        ("n", lambda x: class_reps(x)),
+        ("a", lambda x: enumerate_P_ab(x, 2)),
+        ("b", lambda x: enumerate_P_ab(2, x)),
+        ("n", lambda x: enumerate_symbols(x, "B")),
+        ("d", lambda x: verify_nonvanishing("B", x)),
+        ("d", lambda x: prop_cycles("D", x)),
+        ("d", lambda x: delta_const("B", x)),
+        ("d", lambda x: special_cuspidal("D", x)),
+        ("n", lambda x: involution_check(x, "B")),
+        ("n", lambda x: m2_check(x, "D")),
+        ("n", lambda x: d_swap_diagnostic(x)),
+        ("a", lambda x: f_ab(x, 1, [2])),
+        ("b", lambda x: f_ab(2, x, [2])),
+    ],
+    ids=["orthogonality_check", "class_reps", "enumerate_P_ab-a", "enumerate_P_ab-b",
+         "enumerate_symbols", "verify_nonvanishing", "prop_cycles", "delta_const",
+         "special_cuspidal", "involution_check", "m2_check",
+         "d_swap_diagnostic", "f_ab-a", "f_ab-b"],
+)
+def test_a_count_refuses_a_bool_or_a_float(name, call, bad):
+    # True and 2.0 compare like the counts 1 and 2, but are not counts
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+        call(bad)
 
 
 def test_report_record():

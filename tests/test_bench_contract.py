@@ -74,8 +74,9 @@ def test_tracer_and_trace_calls_the_benchmark_makes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
     # the number of call sites the tracer wraps: a fall means a per-layer
-    # metric silently stops counting
-    assert got["patches"] == 32
+    # metric silently stops counting (orthogonality_check is bound both in
+    # hecke, which defines it, and in almost, where the tracer looks it up)
+    assert got["patches"] == 33
     assert got["cache_agrees"]
     assert got["sample"] == [["1", 1], ["1", 1]]
     assert list((tmp_path / "cache").glob("*.json"))

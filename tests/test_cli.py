@@ -252,6 +252,20 @@ def test_deep_recursion_exit_three():
     assert "Traceback" not in proc.stderr
 
 
+def test_orthogonality_memo_budget_exit_three():
+    # the u = 1 recursion is held to --memo-budget like the trace memo
+    env = dict(os.environ, PYTHONPATH=str(Path(almostchar.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "almostchar", "verify", "orthogonality", "--n", "6",
+         "--memo-budget", "10"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "memo budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _modules_loaded_by(argv) -> set:
     """The modules that importing the CLI and running `argv` load, in a
     fresh interpreter; the call must exit 0."""
@@ -296,6 +310,7 @@ TRACING = {"almostchar.hecke", "almostchar.almost"}
         (["enumerate", "pab", "2", "2"], TRACING),
         (["mn", "eval", "--kind", "B", "--lambda", "[[1,1],[]]", "--cycles", "[-2]"],
          {"almostchar.symbols", "almostchar.almost"}),
+        (["verify", "orthogonality", "--n", "2"], {"almostchar.symbols", "almostchar.almost"}),
     ],
 )
 def test_command_loads_only_the_modules_it_runs(argv, unloaded):

@@ -27,11 +27,12 @@ EXPORTS = {
                 "enumerate_P_ab", "enumerate_symbols", "family_decompose", "family_members",
                 "is_special", "m2_unipotent", "pairing", "rank_defect", "shift_canonicalize",
                 "special_cuspidal", "symbol_from_bipartition"],
-    "hecke": ["BrSequence", "MNContext", "TraceCache", "br_from_cycles", "centralizer_order_B",
-              "class_reps", "l_prime", "mn_trace", "st_bitableaux"],
-    "almost": ["VerificationReport", "cuspidal_pair_sign", "delta_const", "d_swap_diagnostic",
-               "f_ab", "f_cuspidal_via_rectangles", "f_lambda", "involution_check", "m2_check",
-               "orthogonality_check", "prop_cycles", "recursion_check", "verify_nonvanishing"],
+    "hecke": ["BrSequence", "MNContext", "TraceCache", "VerificationReport", "br_from_cycles",
+              "centralizer_order_B", "class_reps", "l_prime", "mn_trace", "orthogonality_check",
+              "st_bitableaux"],
+    "almost": ["cuspidal_pair_sign", "delta_const", "d_swap_diagnostic", "f_ab",
+               "f_cuspidal_via_rectangles", "f_lambda", "involution_check", "m2_check",
+               "prop_cycles", "recursion_check", "verify_nonvanishing"],
 }
 
 
@@ -64,11 +65,12 @@ def test_every_name_the_package_imports_resolves():
 
 #: every module-level functools cache, by the module that defines it; the
 #: README, the Config, MNContext and _removal_table docstrings and the open
-#: CHANGES.md line on unbounded caches name _removal_table as the one strip
-#: cache (the strip walk, shapes._no_2x2_inners, is recomputed per table)
+#: CHANGES.md line on unbounded caches name _removal_table and
+#: _removal_table_at_one as the two strip caches (the strip walk,
+#: shapes._no_2x2_inners, is recomputed per table)
 CACHES = {
     "shapes": {"_delta_value", "_delta_bar_value"},
-    "hecke": {"_removal_table", "st_bitableaux"},
+    "hecke": {"_removal_table", "_removal_table_at_one", "st_bitableaux"},
     "symbols": set(),
     "almost": set(),
     "halflaurent": set(),

@@ -265,6 +265,12 @@ def test_memo_budget_guard():
     ctx = MNContext(br, Config(memo_budget=1))
     with pytest.raises(ResourceGuardError):
         mn_trace("B", bp([3, 1], [1]), br, context=ctx)
+    # the u = 1 recursion keeps its own memo under the same budget
+    ctx = MNContext(br, Config(memo_budget=1))
+    with pytest.raises(ResourceGuardError, match="memo budget 1"):
+        ctx.chain_at_one(bp([3], [2]), 2)
+    ctx = MNContext(br, Config(memo_budget=2))
+    assert ctx.chain_at_one(bp([3], [2]), 2) == mn_trace("B", bp([3], [2]), br).eval_one() != 0
 
 
 def test_repeat_and_shared_context_agree():
@@ -437,6 +443,10 @@ def test_chain_sum_is_zero_off_the_prefix_size():
     assert context.chain_sum(bp([2, 1], []), 2) == SummingContext(br).chain_sum(
         bp([2, 1], []), 2
     )
+    assert context.chain_at_one(bp([2, 1], [1]), 2) == 0
+    assert context.chain_at_one(bp([1], []), 2) == 0
+    assert context.chain_at_one(bp([1], []), 0) == 0
+    assert context.chain_at_one(bp([], []), 0) == 1
 
 
 # -- the shared removal table against the unpruned enumeration -----------------
@@ -464,6 +474,47 @@ def test_removal_table_matches_filtered_unpruned_enumeration(outer):
             assert list(zip(inners, factors)) == want, (outer, m, bar_kind)
     # plain, barred B and barred D are separate entries for every size
     assert table.cache_info().currsize == 3 * (outer.size + 1)
+
+
+# -- the u = 1 path against the polynomial engine -------------------------------
+
+
+def test_removal_table_at_one_is_the_nonzero_part_of_the_table_at_one():
+    # every outer of rank <= 8, every strip size up to rank + 1, plain and
+    # barred: the u = 1 table holds the removals whose factor does not
+    # vanish at u = 1, each once and valued +-1 by that factor
+    tables = 0
+    for n in range(9):
+        for outer in bipartitions_of(n):
+            for size in range(1, n + 2):
+                for bar_kind in (None, "B", "D"):
+                    at_one = hecke_module._removal_table_at_one(outer, size, bar_kind)
+                    inners, factors = hecke_module._removal_table(outer, size, bar_kind)
+                    want = {i: f.eval_one() for i, f in zip(inners, factors) if f.eval_one()}
+                    assert dict(at_one) == want, (outer, size, bar_kind)
+                    assert len(at_one) == len(want)
+                    assert all(type(v) is int and abs(v) == 1 for _, v in at_one)
+                    tables += 1
+    assert tables == 10_128
+
+
+def test_chain_at_one_is_the_trace_at_one():
+    # every B class and every admissible D list against every bipartition
+    # of rank <= 6 that mn_trace accepts, through one context per element
+    traces = 0
+    for n in range(1, 7):
+        elements = [br_from_cycles("B", cycles) for cycles in class_reps(n)]
+        elements += [br_from_cycles("D", cycles) for cycles in valid_d_cycle_lists(n)]
+        for br in elements:
+            context = MNContext(br)
+            for lam in bipartitions_of(n):
+                if br.kind == "D" and lam.alpha == lam.beta:
+                    continue
+                got = context.chain_at_one(lam, len(context.steps))
+                assert type(got) is int
+                assert got == mn_trace(br.kind, lam, br, context=context).eval_one(), (br, lam)
+                traces += 1
+    assert traces == 8_206
 
 
 # -- certification against the seminormal matrix model -------------------------
