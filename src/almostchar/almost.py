@@ -261,7 +261,7 @@ def recursion_check(a: int, b: int, cycles, config: Config = NO_LIMITS) -> Verif
     shrunken-box value is identically zero (nothing to divide by).
     """
     t0 = time.monotonic()
-    if a < 4 or b < 4:
+    if check_int("a", a) < 4 or check_int("b", b) < 4:
         raise ValueError("recursion needs a, b >= 4")
     cyc = br_from_cycles("B", cycles).cycles
     if len(cyc) < 2:

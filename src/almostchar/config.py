@@ -34,12 +34,10 @@ class Config(NamedTuple("Limits", [("max_rank", int), ("memo_budget", int)])):
     Every library entry point takes its limits as a Config, and each
     defaults to NO_LIMITS; there is no None form.  The CLI builds one from
     --max-rank and --memo-budget, whose defaults are this class's.  The
-    memo budget caps each of a trace context's two memos (the exact one
-    and the u = 1 one) only.  The strip-removal tables (hecke._removal_table
-    and hecke._removal_table_at_one, the two strip caches) last as long as
-    the process and have no limit; the strip walk beneath them is not
-    cached, but recomputed for each table.  Each limit must be an int (not
-    a bool; check_int is the shared check).
+    memo budget caps a trace context's memo, and in the orthogonality
+    report each class's u = 1 memo plus the report's removal tables, which
+    last that one report; nothing else is kept.  Each limit must be an int
+    (not a bool; check_int is the shared check).
     """
 
     __slots__ = ()

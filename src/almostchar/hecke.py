@@ -17,23 +17,23 @@ sums are memoized on (remaining bipartition, number of remaining
 segments), so sweeps over many bipartitions of the same rank share work
 through a common context.  Beneath the memo, the scored strip removals of
 one step form a table that depends only on (outer bipartition, strip size,
-step kind); each table is built once per process and shared by every
-context, so the contexts of a sweep over many elements do not enumerate
-the same strips again.  No factor in a table is zero: the enumerators
-yield only shapes with no 2x2 block, whose delta is +-u^(e/2) * U^(m-1)
-with U = u^(1/2) - u^(-1/2), and for a barred step only connected strips,
-whose delta_bar is one +-monomial.
+step kind); a context builds one per memo entry and keeps none, since no
+single element reads a table twice.  No factor in a table is zero: the
+enumerators yield only shapes with no 2x2 block, whose delta is
++-u^(e/2) * U^(m-1) with U = u^(1/2) - u^(-1/2), and for a barred step
+only connected strips, whose delta_bar is one +-monomial.
 
 Kind D accepts only two barred patterns: no bars at all, or a leading
 [-1, -c, ...] pair followed by plain cycles; and its traces are defined
 here only for bipartitions with distinct components.
 
 At u = 1 (u^(1/2) = 1, so U = 0) a trace specializes to a character
-value of the Weyl group (Tits deformation), and MNContext.chain_at_one
-computes it in integers, over a second table per step that keeps only
-the removals whose factor is nonzero at u = 1 (for a plain step, the
-strips of one component), each valued +-1.  The two tables are the
-module's strip caches; both last as long as the process, with no limit.
+value of the Weyl group (Tits deformation), and _traces_at_one computes
+it in integers, over a second table per step that keeps only the
+removals whose factor is nonzero at u = 1 (for a plain step, the strips
+of one component), each valued +-1.  The orthogonality report is the one
+caller that reads these tables many times, so it keeps them for its own
+run, and the memo budget counts them; the module caches no table.
 
 The module also carries the small self-check oracles: class
 representatives and centralizer orders for the signed permutation group,
@@ -50,8 +50,7 @@ import json
 import os
 import time
 from collections import Counter
-from functools import cache
-from math import factorial
+from math import factorial, prod
 from operator import mul
 from pathlib import Path
 from typing import NamedTuple
@@ -63,6 +62,7 @@ from .shapes import (
     bipartitions_of,
     broken_strip_removals,
     check_kind,
+    conjugate,
     partitions_of,
     single_strip_removals,
 )
@@ -138,7 +138,6 @@ def l_prime(br: BrSequence) -> int:
 # ---------------------------------------------------------------------------
 
 
-@cache
 def _removal_table(outer: BiPartition, size: int, bar_kind: str | None) -> tuple[tuple, tuple]:
     """(inners, factors): every strip of `size` cells off outer, as parallel
     tuples in the order the enumerator yields them.
@@ -150,11 +149,9 @@ def _removal_table(outer: BiPartition, size: int, bar_kind: str | None) -> tuple
     shapes walk gathered for its sides, and every factor is nonzero, so
     none is filtered out: a shape with no 2x2 block has delta =
     +-u^(e/2) * U^(m-1), and a connected strip has a delta_bar equal to one
-    +-monomial.  Each factor is a shared value, not a copy.  One table per
-    key for the life of the process, with no limit, like its u = 1
-    counterpart _removal_table_at_one; these two are the strip caches.  The
-    shapes walk beneath them is recomputed for each table built, since no
-    table reads a walk twice.
+    +-monomial.  Each factor is a shared value, not a copy.  Nothing is
+    cached: MNContext.chain_sum builds one table per memo entry, and no
+    single element reads a table twice.
     """
     if bar_kind is None:
         pairs = broken_strip_removals(outer, size)
@@ -163,7 +160,6 @@ def _removal_table(outer: BiPartition, size: int, bar_kind: str | None) -> tuple
     return tuple(zip(*pairs)) or ((), ())
 
 
-@cache
 def _removal_table_at_one(outer: BiPartition, size: int, bar_kind: str | None) -> tuple:
     """((inner, value), ...): the removals of _removal_table(outer, size,
     bar_kind) whose factor is nonzero at u = 1, each with that value, +-1.
@@ -172,8 +168,8 @@ def _removal_table_at_one(outer: BiPartition, size: int, bar_kind: str | None) -
     component, which single_strip_removals yields with kind None, scored by
     delta; a barred step keeps every strip.  The values come from the same
     walk and scores as _removal_table's factors (factor.eval_one()), but
-    this table does not read that one.  One table per key for the life of
-    the process, with no limit, like _removal_table.
+    this table does not read that one.  It is not cached: only the
+    orthogonality report keeps these tables, for its own run.
     """
     return tuple(
         (inner, factor.eval_one())
@@ -182,20 +178,15 @@ def _removal_table_at_one(outer: BiPartition, size: int, bar_kind: str | None) -
 
 
 class MNContext:
-    """Memoized chain summation for one element br, exactly (chain_sum) or
-    at u = 1 in integers (chain_at_one).
+    """Memoized chain summation for one element br.
 
     Share one context across the bipartitions of a sweep, evaluated one
     after another, so that they reuse each other's partial sums.  The
     config's memo_budget (none by default) is a loose cap on the entries
-    each of its two memos stores (one per recursion); going past it raises
-    ResourceGuardError instead of thrashing.  The memos are the context's
-    own, and the budget bounds nothing else: the strip-removal tables they
-    read (_removal_table and _removal_table_at_one, the two strip caches)
-    are shared by every context in the process, last as long as it and
-    have no limit.  The strip walk beneath them is recomputed for each
-    table.  steps holds (size, bar_kind) per cycle of br.cycles, bar_kind
-    being None for a plain cycle and the kind for a barred one.
+    its memo stores; going past it raises ResourceGuardError instead of
+    thrashing.  Each memo entry builds its step's removal table
+    (_removal_table) and keeps only the sum, so nothing the context reads
+    outlives it.  steps holds (size, bar_kind) per cycle of br.cycles.
     """
 
     def __init__(self, br: BrSequence, config: Config = NO_LIMITS):
@@ -204,7 +195,6 @@ class MNContext:
         self.prefactor = half_power(l_prime(br))
         self.memo_budget = config.memo_budget
         self._memo: dict = {}
-        self._memo_at_one: dict = {}
 
     def chain_sum(self, outer: BiPartition, k: int) -> HalfLaurent:
         """Sum over the strip removals of the first k segments from outer,
@@ -230,26 +220,37 @@ class MNContext:
         self._memo[key] = total
         return total
 
-    def chain_at_one(self, outer: BiPartition, k: int) -> int:
-        """chain_sum(outer, k) at u = 1, an integer: the same recursion over
-        the removals whose factor is nonzero there.  The prefactor is 1 at
-        u = 1, so chain_at_one(lam, len(steps)) is the trace of lam at
-        u = 1 for a bipartition lam that mn_trace accepts."""
+
+def _traces_at_one(br: BrSequence, bps, tables: dict, config: Config) -> list:
+    """The trace of br at u = 1 on each bipartition of bps, in integers:
+    MNContext's recursion over the removals whose factor is nonzero there.
+    tables maps (outer, size, bar_kind) to its _removal_table_at_one table,
+    and a sweep passes one dict to every call, so that it builds each table
+    once; config's memo_budget caps this call's memo plus the tables."""
+    steps = MNContext(br).steps
+    memo: dict = {}
+
+    def chain(outer: BiPartition, k: int) -> int:
         if k == 0:
             return 0 if outer.alpha or outer.beta else 1
         key = (outer, k)
-        hit = self._memo_at_one.get(key)
+        hit = memo.get(key)
         if hit is not None:
             return hit
+        step = (outer, *steps[k - 1])
+        if step not in tables:
+            tables[step] = _removal_table_at_one(*step)
         total = 0
-        for inner, value in _removal_table_at_one(outer, *self.steps[k - 1]):
-            total += value * self.chain_at_one(inner, k - 1)
-        if len(self._memo_at_one) >= self.memo_budget:
+        for inner, value in tables[step]:
+            total += value * chain(inner, k - 1)
+        if len(memo) + len(tables) >= config.memo_budget:
             raise ResourceGuardError(
-                f"memo budget {self.memo_budget} exhausted at rank {self.br.n}"
+                f"memo budget {config.memo_budget} exhausted at rank {br.n}"
             )
-        self._memo_at_one[key] = total
+        memo[key] = total
         return total
+
+    return [chain(bp, len(steps)) for bp in bps]
 
 
 def mn_trace(
@@ -401,12 +402,14 @@ def centralizer_order_B(cycles) -> int:
     return order
 
 
-@cache
 def st_bitableaux(lam: BiPartition) -> int:
-    """Standard bitableaux count, by peeling single boxes."""
-    if lam.size == 0:
-        return 1
-    return sum(st_bitableaux(inner) for inner, _ in single_strip_removals(lam, 1, "B"))
+    """Standard bitableaux count, C(n, |alpha|) f^alpha f^beta = n! / (the
+    product of the hook lengths of alpha and of beta)."""
+    hooks = 1
+    for mu in lam:
+        cols = conjugate(mu)
+        hooks *= prod(row - j + cols[j] - i - 1 for i, row in enumerate(mu) for j in range(row))
+    return factorial(lam.size) // hooks
 
 
 def identity_cycles(n: int) -> tuple:
@@ -446,16 +449,14 @@ def _elapsed_ms(t0: float) -> int:
 
 def orthogonality_check(n: int, config: Config = NO_LIMITS) -> VerificationReport:
     """Second orthogonality of the u = 1 trace table against centralizers,
-    with one shared trace context per class, summed in integers by
-    MNContext.chain_at_one."""
+    summed in integers by _traces_at_one, one memo per class; the classes
+    share the u = 1 tables, which last this one report."""
     t0 = time.monotonic()
     config.check_rank(check_int("n", n))
     reps = class_reps(n)
     bps = list(bipartitions_of(n))
-    vectors = []
-    for cycles in reps:
-        context = MNContext(br_from_cycles("B", cycles), config)
-        vectors.append([context.chain_at_one(bp, len(context.steps)) for bp in bps])
+    tables: dict = {}
+    vectors = [_traces_at_one(br_from_cycles("B", cycles), bps, tables, config) for cycles in reps]
     mismatches = []
     for i, wi in enumerate(reps):
         for j in range(i, len(reps)):

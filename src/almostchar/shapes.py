@@ -36,12 +36,12 @@ adjacent rows that share a column, and e, the exponent of u^(1/2)):
 The strip enumerators score their removals without building a skew
 shape: the walk that finds a side's inners of one size gathers each
 inner's statistics as it chooses the rows, and a removal is scored from
-the triples of its two sides.  The walk is not cached: it runs again for
-each removal table that needs it, and the tables that hold the scored
-removals (hecke._removal_table, and hecke._removal_table_at_one for the
-values at u = 1) are the strip caches.  delta and delta_bar score
-an arbitrary skew shape by one scan of its rows (_side_stats), which the
-tests also hold the walk to.
+the triples of its two sides.  The walk is not cached: it runs again
+for each removal table that needs it (hecke._removal_table, and
+hecke._removal_table_at_one for the values at u = 1), and only the
+orthogonality report keeps tables, for its own run.  delta and delta_bar
+score an arbitrary skew shape by one scan of its rows (_side_stats),
+which the tests also hold the walk to.
 
 A slower, cell-based version of both statistics and of the removal
 enumeration lives in tests/cells.py, as the tests' independent oracle for
@@ -313,7 +313,8 @@ def _no_2x2_inners(outer: Partition, removed: int) -> tuple[tuple, tuple]:
     them.  The statistics are gathered on the way: row i is in the strip
     when v < outer_i and joins row i+1 when v == outer_{i+1} - 1; the cells
     number `removed`.  Nothing is cached here: one removal table
-    (hecke._removal_table) walks each side and size at most once.
+    (hecke._removal_table or _removal_table_at_one) walks each side and
+    size at most once, and no table outlives its memo entry or report.
     """
     if removed > _rim(outer):
         return (), ()

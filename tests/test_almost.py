@@ -2,7 +2,6 @@
 reports built on top of them."""
 
 import ast
-import functools
 import threading
 from fractions import Fraction
 from pathlib import Path
@@ -222,8 +221,6 @@ def test_trace_engine_runs_without_the_cell_oracle():
     want = reports()
     for cached in ("_delta_value", "_delta_bar_value"):
         getattr(shapes_module, cached).cache_clear()
-    hecke_module._removal_table.cache_clear()
-    hecke_module._removal_table_at_one.cache_clear()
     assert reports() == want
 
 
@@ -234,7 +231,7 @@ def test_strip_enumeration_asks_only_for_sizes_a_side_can_supply(monkeypatch):
     builds = []  # per table build: its outer and the (side, size) of each walk
     empty = []
     walk = shapes_module._no_2x2_inners
-    build = hecke_module._removal_table.__wrapped__
+    build = hecke_module._removal_table
 
     def recorded_walk(outer, removed):
         inners, stats = walk(outer, removed)
@@ -248,7 +245,7 @@ def test_strip_enumeration_asks_only_for_sizes_a_side_can_supply(monkeypatch):
         return build(outer, size, bar_kind)
 
     monkeypatch.setattr(shapes_module, "_no_2x2_inners", recorded_walk)
-    monkeypatch.setattr(hecke_module, "_removal_table", functools.cache(recorded_build))
+    monkeypatch.setattr(hecke_module, "_removal_table", recorded_build)
     recursion_check(5, 4, [8, 12])
     trace_table(4)
     assert sum(len(walked) for _, walked in builds) > len(builds) > 0
@@ -257,27 +254,23 @@ def test_strip_enumeration_asks_only_for_sizes_a_side_can_supply(monkeypatch):
         assert all(walked.count(w) <= outer.count(w[0]) for w in walked), (outer, walked)
 
 
-def test_each_removal_table_is_enumerated_once_per_process(monkeypatch):
-    # the contexts of a sweep share one table per (outer, size, bar_kind),
-    # so no enumerator is asked twice for the same arguments
-    asked = []
+def test_each_report_builds_each_u1_table_once(monkeypatch):
+    # the classes of one orthogonality report share one u = 1 table per
+    # (outer, size, bar_kind), and the report keeps none of them: the next
+    # report builds every table again, once
+    built = []
+    build = hecke_module._removal_table_at_one
 
-    def recorded(name):
-        enumerate_strips = getattr(hecke_module, name)
+    def recorded(outer, size, bar_kind):
+        built.append((outer, size, bar_kind))
+        return build(outer, size, bar_kind)
 
-        def enumerate_recorded(outer, size, *kind):
-            asked.append((name, outer, size, *kind))
-            return enumerate_strips(outer, size, *kind)
-
-        return enumerate_recorded
-
-    want = trace_table(4)
-    for name in ("broken_strip_removals", "single_strip_removals"):
-        monkeypatch.setattr(hecke_module, name, recorded(name))
-    hecke_module._removal_table.cache_clear()
-    assert trace_table(4) == want
-    assert {args[0] for args in asked} == {"broken_strip_removals", "single_strip_removals"}
-    assert len(set(asked)) == len(asked)
+    monkeypatch.setattr(hecke_module, "_removal_table_at_one", recorded)
+    want = orthogonality_check(4).fields
+    first = list(built)
+    assert orthogonality_check(4).fields == want
+    assert len(set(first)) == len(first) == 224
+    assert built == first + first
 
 
 def test_chain_sum_builds_one_value_per_memo_entry(monkeypatch):
@@ -317,6 +310,16 @@ def test_routes_agree():
         assert f_lambda("D", lam_cd, cycles) == f_cuspidal_via_rectangles(
             "D", 1, cycles
         ), cycles
+
+
+def test_b_staircase_is_one_monomial_on_both_routes():
+    # the all-barred class [-2, -4, ..., -2d] gives u^(d(d+1)(2d+1)/6)
+    for d in range(1, 6):
+        cycles = [-2 * i for i in range(1, d + 1)]
+        value = f_cuspidal_via_rectangles("B", d, cycles)
+        assert value == hl([(d * (d + 1) * (2 * d + 1) // 3, 1)]), d
+        if d <= 4:
+            assert f_lambda("B", special_cuspidal("B", d)[0], cycles) == value, d
 
 
 # -- claim-specific cycle lists ---------------------------------------------------
@@ -408,6 +411,14 @@ def test_orthogonality_check_passes():
         report = orthogonality_check(n)
         assert report.verdict == "pass"
         assert report.fields["mismatches"] == []
+
+
+def test_orthogonality_memo_budget_counts_the_report_tables():
+    # the largest class memo at n = 4 has 37 entries, so a budget of 38
+    # holds only if the report's 224 u = 1 tables are left uncounted
+    with pytest.raises(ResourceGuardError, match="memo budget 38"):
+        orthogonality_check(4, Config(memo_budget=38))
+    assert orthogonality_check(4, Config(memo_budget=38 + 224)).passed
 
 
 def test_orthogonality_check_detects_corruption(monkeypatch):
@@ -514,11 +525,12 @@ def test_config_refuses_a_limit_that_is_not_an_int(bad):
         ("n", lambda x: d_swap_diagnostic(x)),
         ("a", lambda x: f_ab(x, 1, [2])),
         ("b", lambda x: f_ab(2, x, [2])),
+        ("a", lambda x: recursion_check(x, 4, [8, 12])),
     ],
     ids=["orthogonality_check", "class_reps", "enumerate_P_ab-a", "enumerate_P_ab-b",
          "enumerate_symbols", "verify_nonvanishing", "prop_cycles", "delta_const",
          "special_cuspidal", "involution_check", "m2_check",
-         "d_swap_diagnostic", "f_ab-a", "f_ab-b"],
+         "d_swap_diagnostic", "f_ab-a", "f_ab-b", "recursion_check"],
 )
 def test_a_count_refuses_a_bool_or_a_float(name, call, bad):
     # True and 2.0 compare like the counts 1 and 2, but are not counts

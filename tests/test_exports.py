@@ -64,13 +64,13 @@ def test_every_name_the_package_imports_resolves():
 
 
 #: every module-level functools cache, by the module that defines it; the
-#: README, the Config, MNContext and _removal_table docstrings and the open
-#: CHANGES.md line on unbounded caches name _removal_table and
-#: _removal_table_at_one as the two strip caches (the strip walk,
-#: shapes._no_2x2_inners, is recomputed per table)
+#: README and the shapes module docstring name these two, which intern
+#: strip values under small integer keys.  No cache is keyed by a
+#: bipartition: the removal tables last one memo entry, or one
+#: orthogonality report
 CACHES = {
     "shapes": {"_delta_value", "_delta_bar_value"},
-    "hecke": {"_removal_table", "_removal_table_at_one", "st_bitableaux"},
+    "hecke": set(),
     "symbols": set(),
     "almost": set(),
     "halflaurent": set(),
@@ -85,6 +85,17 @@ def test_the_module_level_caches_are_the_listed_ones():
             if hasattr(value, "cache_info") and value.__module__ == home.__name__
         }
         assert found == names, module
+    # the source holds no other cache decorator, on a method or a nested
+    # function either, where the scan of module attributes cannot see it
+    for path in sorted(Path(almostchar.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("cache", "lru_cache"):
+                    assert node.name in CACHES.get(path.stem, set()), (path.name, node.name)
 
 
 def test_the_runtime_imports_only_the_standard_library():

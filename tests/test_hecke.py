@@ -1,6 +1,7 @@
 """Traces on the extended Hecke algebras, cross-checked against an
 independently built seminormal matrix model (tests/seminormal.py)."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 
 from almostchar.halflaurent import ONE, ZERO, HalfLaurent
 from almostchar import hecke as hecke_module
-from almostchar.config import Config
+from almostchar.config import NO_LIMITS, Config
 from almostchar.hecke import (
     MNContext,
     ResourceGuardError,
     TraceCache,
+    _traces_at_one,
     br_from_cycles,
     centralizer_order_B,
     class_reps,
@@ -30,6 +32,7 @@ from almostchar.shapes import (
     delta,
     delta_bar,
     partitions_of,
+    single_strip_removals,
 )
 
 from cells import remove_strips
@@ -183,11 +186,23 @@ def test_centralizer_orders_satisfy_class_equation():
 # -- bitableaux counts and the identity element -------------------------------
 
 
+@functools.cache
+def peeled_bitableaux(lam):
+    """Standard bitableaux count by peeling single boxes, the oracle for
+    st_bitableaux's hook length closed form."""
+    if lam.size == 0:
+        return 1
+    return sum(peeled_bitableaux(inner) for inner, _ in single_strip_removals(lam, 1, "B"))
+
+
 def test_st_bitableaux_counts():
     assert st_bitableaux(bp([], [])) == 1
     assert st_bitableaux(bp([1], [1])) == 2
     assert st_bitableaux(bp([1], [1, 1])) == 3
     assert st_bitableaux(bp([2, 1], [1])) == 8
+    lams = [lam for n in range(11) for lam in bipartitions_of(n)]
+    assert len(lams) == 1_215
+    assert all(st_bitableaux(lam) == peeled_bitableaux(lam) for lam in lams)
 
 
 def test_identity_trace_is_bitableaux_count():
@@ -265,12 +280,14 @@ def test_memo_budget_guard():
     ctx = MNContext(br, Config(memo_budget=1))
     with pytest.raises(ResourceGuardError):
         mn_trace("B", bp([3, 1], [1]), br, context=ctx)
-    # the u = 1 recursion keeps its own memo under the same budget
-    ctx = MNContext(br, Config(memo_budget=1))
+    # the u = 1 recursion keeps its own memo under the same budget, which
+    # also counts the tables it builds: two memo entries and two tables
     with pytest.raises(ResourceGuardError, match="memo budget 1"):
-        ctx.chain_at_one(bp([3], [2]), 2)
-    ctx = MNContext(br, Config(memo_budget=2))
-    assert ctx.chain_at_one(bp([3], [2]), 2) == mn_trace("B", bp([3], [2]), br).eval_one() != 0
+        _traces_at_one(br, [bp([3], [2])], {}, Config(memo_budget=1))
+    with pytest.raises(ResourceGuardError, match="memo budget 3"):
+        _traces_at_one(br, [bp([3], [2])], {}, Config(memo_budget=3))
+    got = _traces_at_one(br, [bp([3], [2])], {}, Config(memo_budget=4))
+    assert got == [mn_trace("B", bp([3], [2]), br).eval_one()] != [0]
 
 
 def test_repeat_and_shared_context_agree():
@@ -443,10 +460,9 @@ def test_chain_sum_is_zero_off_the_prefix_size():
     assert context.chain_sum(bp([2, 1], []), 2) == SummingContext(br).chain_sum(
         bp([2, 1], []), 2
     )
-    assert context.chain_at_one(bp([2, 1], [1]), 2) == 0
-    assert context.chain_at_one(bp([1], []), 2) == 0
-    assert context.chain_at_one(bp([1], []), 0) == 0
-    assert context.chain_at_one(bp([], []), 0) == 1
+    assert _traces_at_one(br, [bp([2, 1], [1]), bp([1], [])], {}, NO_LIMITS) == [0, 0]
+    no_cycles = br_from_cycles("B", [])
+    assert _traces_at_one(no_cycles, [bp([1], []), bp([], [])], {}, NO_LIMITS) == [0, 1]
 
 
 # -- the shared removal table against the unpruned enumeration -----------------
@@ -456,7 +472,6 @@ def test_chain_sum_is_zero_off_the_prefix_size():
 @given(st.integers(0, 8).flatmap(lambda n: st.sampled_from(list(bipartitions_of(n)))))
 def test_removal_table_matches_filtered_unpruned_enumeration(outer):
     table = hecke_module._removal_table
-    table.cache_clear()
     # the enumeration order, so each memo entry is built as before: broken
     # strips by the cells alpha gives up, ascending, then by inner; single
     # strips in alpha before those in beta, then by inner
@@ -472,8 +487,6 @@ def test_removal_table_matches_filtered_unpruned_enumeration(outer):
             want = [(inner, score(shape)) for inner, shape in naive if score(shape)]
             want.sort(key=lambda pair: order(pair[0]))
             assert list(zip(inners, factors)) == want, (outer, m, bar_kind)
-    # plain, barred B and barred D are separate entries for every size
-    assert table.cache_info().currsize == 3 * (outer.size + 1)
 
 
 # -- the u = 1 path against the polynomial engine -------------------------------
@@ -501,16 +514,16 @@ def test_removal_table_at_one_is_the_nonzero_part_of_the_table_at_one():
 def test_chain_at_one_is_the_trace_at_one():
     # every B class and every admissible D list against every bipartition
     # of rank <= 6 that mn_trace accepts, through one context per element
+    # and one u = 1 table store per rank, as the orthogonality report keeps
     traces = 0
     for n in range(1, 7):
         elements = [br_from_cycles("B", cycles) for cycles in class_reps(n)]
         elements += [br_from_cycles("D", cycles) for cycles in valid_d_cycle_lists(n)]
+        tables = {}
         for br in elements:
             context = MNContext(br)
-            for lam in bipartitions_of(n):
-                if br.kind == "D" and lam.alpha == lam.beta:
-                    continue
-                got = context.chain_at_one(lam, len(context.steps))
+            lams = [lam for lam in bipartitions_of(n) if br.kind == "B" or lam.alpha != lam.beta]
+            for lam, got in zip(lams, _traces_at_one(br, lams, tables, NO_LIMITS)):
                 assert type(got) is int
                 assert got == mn_trace(br.kind, lam, br, context=context).eval_one(), (br, lam)
                 traces += 1
