@@ -183,6 +183,14 @@ def f_cuspidal_via_rectangles(
 # ---------------------------------------------------------------------------
 
 
+def _cuspidal_rank(kind: str, d: int) -> int:
+    """The rank of the cuspidal symbol at d: d^2+d for kind B, 4d^2 for D."""
+    check_kind(kind)
+    if check_int("d", d) < 1:
+        raise ValueError("d must be positive")
+    return d * d + d if kind == "B" else 4 * d * d
+
+
 def prop_cycles(kind: str, d: int) -> tuple:
     """The nonvanishing witness cycle type for the cuspidal symbol at d.
 
@@ -191,9 +199,7 @@ def prop_cycles(kind: str, d: int) -> tuple:
     4d^2): seeds [-1,-3] (d odd) / [6,10] (d even) extended the same way,
     terminal lengths 8d-10, 8d-6.
     """
-    check_kind(kind)
-    if check_int("d", d) < 1:
-        raise ValueError("d must be positive")
+    n = _cuspidal_rank(kind, d)
     if kind == "B":
         r = d % 4
         if r == 1:
@@ -208,7 +214,6 @@ def prop_cycles(kind: str, d: int) -> tuple:
         else:
             k = d // 4 - 1
             out = [x for j in range(k + 1) for x in (8 + 16 * j, 12 + 16 * j)]
-        n = d * d + d
     else:
         if d % 2 == 1:
             k = (d - 1) // 2
@@ -216,7 +221,6 @@ def prop_cycles(kind: str, d: int) -> tuple:
         else:
             k = d // 2
             out = [x for j in range(k) for x in (6 + 16 * j, 10 + 16 * j)]
-        n = 4 * d * d
     assert sum(abs(c) for c in out) == n, (kind, d, out)
     return tuple(out)
 
@@ -234,6 +238,7 @@ _D_TERMINAL_NOTE = (
 
 def verify_nonvanishing(kind: str, d: int, config: Config = NO_LIMITS) -> VerificationReport:
     t0 = time.monotonic()
+    config.check_rank(_cuspidal_rank(kind, d))  # before the recipe, which grows with d
     cycles = prop_cycles(kind, d)
     cuspidal, _ = special_cuspidal(kind, d)
     value = f_lambda(kind, cuspidal, cycles, config)

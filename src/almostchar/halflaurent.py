@@ -44,7 +44,9 @@ class HalfLaurent:
     constructor takes int exponents and int or Fraction coefficients only
     (anything else, bool and float included, is a TypeError), stores
     integral values as int, and int coefficients stay int under the ring
-    operations; other values are exact Fractions.
+    operations; other values are exact Fractions.  A scalar multiplies
+    (an int or a Fraction, not a bool) but never adds: x + 1 and 1 + x are
+    TypeErrors, and x + 1 * ONE is the sum.
     Instances hash and compare by that dict, regardless of its order, so
     memo tables and test assertions can treat them as plain values.
     """
@@ -73,6 +75,8 @@ class HalfLaurent:
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other: "HalfLaurent") -> "HalfLaurent":
+        if type(other) is not HalfLaurent:  # no scalar sum, in either order
+            return NotImplemented
         merged = dict(self._terms)
         for k, c in other._terms.items():
             s = merged.get(k, 0) + c

@@ -15,13 +15,12 @@ statistic delta_bar, and the whole sum carries a prefactor u^(l'/2) with
 l' counting the non-distinguished letters of the defining word.  Partial
 sums are memoized on (remaining bipartition, number of remaining
 segments), so sweeps over many bipartitions of the same rank share work
-through a common context.  Beneath the memo, the scored strip removals of
-one step form a table that depends only on (outer bipartition, strip size,
-step kind); a context builds one per memo entry and keeps none, since no
-single element reads a table twice.  No factor in a table is zero: the
-enumerators yield only shapes with no 2x2 block, whose delta is
-+-u^(e/2) * U^(m-1) with U = u^(1/2) - u^(-1/2), and for a barred step
-only connected strips, whose delta_bar is one +-monomial.
+through a common context.  Each memo entry sums straight over the scored
+strip removals of its step, as the strip enumerators of the shapes module
+yield them.  No factor is zero: the enumerators yield only shapes with no
+2x2 block, whose delta is +-u^(e/2) * U^(m-1) with U = u^(1/2) - u^(-1/2),
+and for a barred step only connected strips, whose delta_bar is one
++-monomial.
 
 Kind D accepts only two barred patterns: no bars at all, or a leading
 [-1, -c, ...] pair followed by plain cycles; and its traces are defined
@@ -29,11 +28,11 @@ here only for bipartitions with distinct components.
 
 At u = 1 (u^(1/2) = 1, so U = 0) a trace specializes to a character
 value of the Weyl group (Tits deformation), and _traces_at_one computes
-it in integers, over a second table per step that keeps only the
-removals whose factor is nonzero at u = 1 (for a plain step, the strips
-of one component), each valued +-1.  The orthogonality report is the one
-caller that reads these tables many times, so it keeps them for its own
-run, and the memo budget counts them; the module caches no table.
+it in integers, over a table per step that keeps only the removals whose
+factor is nonzero at u = 1 (for a plain step, the strips of one
+component), each valued +-1.  The orthogonality report is the one caller
+that reads these tables many times, so it keeps them for its own run, and
+the memo budget counts them.
 
 The module also carries the small self-check oracles: class
 representatives and centralizer orders for the signed permutation group,
@@ -138,38 +137,14 @@ def l_prime(br: BrSequence) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _removal_table(outer: BiPartition, size: int, bar_kind: str | None) -> tuple[tuple, tuple]:
-    """(inners, factors): every strip of `size` cells off outer, as parallel
-    tuples in the order the enumerator yields them.
-
-    A plain step (bar_kind None) takes the broken strips scored by delta,
-    which does not depend on the kind; a barred step takes the single
-    strips scored by delta_bar, whose content factors do, so bar_kind is
-    "B" or "D".  The enumerators score each strip from the statistics the
-    shapes walk gathered for its sides, and every factor is nonzero, so
-    none is filtered out: a shape with no 2x2 block has delta =
-    +-u^(e/2) * U^(m-1), and a connected strip has a delta_bar equal to one
-    +-monomial.  Each factor is a shared value, not a copy.  Nothing is
-    cached: MNContext.chain_sum builds one table per memo entry, and no
-    single element reads a table twice.
-    """
-    if bar_kind is None:
-        pairs = broken_strip_removals(outer, size)
-    else:
-        pairs = single_strip_removals(outer, size, bar_kind)
-    return tuple(zip(*pairs)) or ((), ())
-
-
 def _removal_table_at_one(outer: BiPartition, size: int, bar_kind: str | None) -> tuple:
-    """((inner, value), ...): the removals of _removal_table(outer, size,
+    """((inner, value), ...): the removals of the step (outer, size,
     bar_kind) whose factor is nonzero at u = 1, each with that value, +-1.
 
     U vanishes at u = 1, so a plain step keeps only the strips of one
     component, which single_strip_removals yields with kind None, scored by
-    delta; a barred step keeps every strip.  The values come from the same
-    walk and scores as _removal_table's factors (factor.eval_one()), but
-    this table does not read that one.  It is not cached: only the
-    orthogonality report keeps these tables, for its own run.
+    delta; a barred step keeps every strip, as MNContext.chain_sum sums
+    them.  Each value is the factor's eval_one().
     """
     return tuple(
         (inner, factor.eval_one())
@@ -184,9 +159,7 @@ class MNContext:
     after another, so that they reuse each other's partial sums.  The
     config's memo_budget (none by default) is a loose cap on the entries
     its memo stores; going past it raises ResourceGuardError instead of
-    thrashing.  Each memo entry builds its step's removal table
-    (_removal_table) and keeps only the sum, so nothing the context reads
-    outlives it.  steps holds (size, bar_kind) per cycle of br.cycles.
+    thrashing.  steps holds (size, bar_kind) per cycle of br.cycles.
     """
 
     def __init__(self, br: BrSequence, config: Config = NO_LIMITS):
@@ -199,16 +172,22 @@ class MNContext:
     def chain_sum(self, outer: BiPartition, k: int) -> HalfLaurent:
         """Sum over the strip removals of the first k segments from outer,
         zero unless |outer| is their size.  Each memo entry accumulates
-        factor * sub over the step's removal table in one dict and becomes
-        one HalfLaurent."""
+        factor * sub over its step's enumerator (broken strips when plain,
+        single strips when barred) in one dict and becomes one
+        HalfLaurent."""
         if k == 0:
             return ZERO if outer.alpha or outer.beta else ONE
         key = (outer, k)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
+        size, bar_kind = self.steps[k - 1]
+        if bar_kind is None:
+            removals = broken_strip_removals(outer, size)
+        else:
+            removals = single_strip_removals(outer, size, bar_kind)
         acc: dict = {}
-        for inner, factor in zip(*_removal_table(outer, *self.steps[k - 1])):
+        for inner, factor in removals:
             for k2, c2 in self.chain_sum(inner, k - 1)._terms.items():
                 for k1, c1 in factor._terms.items():
                     acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2

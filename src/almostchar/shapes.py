@@ -36,12 +36,9 @@ adjacent rows that share a column, and e, the exponent of u^(1/2)):
 The strip enumerators score their removals without building a skew
 shape: the walk that finds a side's inners of one size gathers each
 inner's statistics as it chooses the rows, and a removal is scored from
-the triples of its two sides.  The walk is not cached: it runs again
-for each removal table that needs it (hecke._removal_table, and
-hecke._removal_table_at_one for the values at u = 1), and only the
-orthogonality report keeps tables, for its own run.  delta and delta_bar
-score an arbitrary skew shape by one scan of its rows (_side_stats),
-which the tests also hold the walk to.
+the triples of its two sides.  delta and delta_bar score an arbitrary
+skew shape by one scan of its rows (_side_stats), which the tests also
+hold the walk to.
 
 A slower, cell-based version of both statistics and of the removal
 enumeration lives in tests/cells.py, as the tests' independent oracle for
@@ -298,9 +295,10 @@ def _rim(outer: Partition) -> int:
     return outer[0] + len(outer) - 1 if outer else 0
 
 
-def _no_2x2_inners(outer: Partition, removed: int) -> tuple[tuple, tuple]:
-    """(inners, stats): the sub-partitions inner with |outer/inner| = removed
-    and no 2x2 block, in sorted order, and each one's _side_stats triple.
+def _no_2x2_inners(outer: Partition, removed: int) -> list[tuple[Partition, tuple]]:
+    """(inner, stats) for each sub-partition inner with |outer/inner| =
+    removed and no 2x2 block, in sorted order, stats being its _side_stats
+    triple.
 
     Row i keeps v cells with max(outer_{i+1} - 1, 0) <= v (the row
     criterion) and leaves to the rows below at most their rim,
@@ -312,15 +310,12 @@ def _no_2x2_inners(outer: Partition, removed: int) -> tuple[tuple, tuple]:
     rows below are kept whole, which the row above allows unless it joins
     them.  The statistics are gathered on the way: row i is in the strip
     when v < outer_i and joins row i+1 when v == outer_{i+1} - 1; the cells
-    number `removed`.  Nothing is cached here: one removal table
-    (hecke._removal_table or _removal_table_at_one) walks each side and
-    size at most once, and no table outlives its memo entry or report.
+    number `removed`.
     """
     if removed > _rim(outer):
-        return (), ()
+        return []
     n_rows = len(outer)
-    inners: list[Partition] = []
-    stats: list[tuple[int, int, int]] = []
+    found = []
     # (row, v of the row above, cells left to take, inner so far, rows, joins)
     stack = [(0, outer[0] if outer else 0, removed, (), 0, 0)]
     while stack:
@@ -353,9 +348,8 @@ def _no_2x2_inners(outer: Partition, removed: int) -> tuple[tuple, tuple]:
             rows += lo < o
             joins += lo == join
         if i == n_rows or prev >= outer[i]:
-            inners.append(prefix + outer[i:])
-            stats.append((rows - joins, joins, removed - rows - joins))
-    return tuple(inners), tuple(stats)
+            found.append((prefix + outer[i:], (rows - joins, joins, removed - rows - joins)))
+    return found
 
 
 def broken_strip_removals(
@@ -377,10 +371,9 @@ def broken_strip_removals(
         return
     lo = max(0, m - _rim(outer.beta))
     for j in range(lo, min(m, _rim(outer.alpha)) + 1):
-        inners_b, stats_b = _no_2x2_inners(outer.beta, m - j)
-        inners_a, stats_a = _no_2x2_inners(outer.alpha, j)
-        for ia, (ma, ja, ea) in zip(inners_a, stats_a):
-            for ib, (mb, jb, eb) in zip(inners_b, stats_b):
+        inners_b = _no_2x2_inners(outer.beta, m - j)
+        for ia, (ma, ja, ea) in _no_2x2_inners(outer.alpha, j):
+            for ib, (mb, jb, eb) in inners_b:
                 yield BiPartition(ia, ib), _delta_value(ma + mb, (ja + jb) & 1, ea + eb)
 
 
@@ -405,13 +398,13 @@ def single_strip_removals(
     alpha, beta = outer
     if m <= _rim(alpha):
         shift = 1 if kind == "B" else 0
-        for ia, stats in zip(*_no_2x2_inners(alpha, m)):
+        for ia, stats in _no_2x2_inners(alpha, m):
             if stats[0] == 1:
                 yield BiPartition(ia, beta), (
                     _strip_value(alpha, ia, stats, shift, 1) if kind
                     else _delta_value(1, stats[1] & 1, stats[2]))
     if m <= _rim(beta):
-        for ib, stats in zip(*_no_2x2_inners(beta, m)):
+        for ib, stats in _no_2x2_inners(beta, m):
             if stats[0] == 1:
                 yield BiPartition(alpha, ib), (
                     _strip_value(beta, ib, stats, 0, -1) if kind

@@ -48,6 +48,12 @@ from almostchar.symbols import (
 )
 
 import cells
+from seminormal import (
+    build_b_generators,
+    eval_halflaurent,
+    trace_of_word,
+    word_for_b_cycles_in_order,
+)
 
 bp = bipartition
 
@@ -226,32 +232,39 @@ def test_trace_engine_runs_without_the_cell_oracle():
 
 def test_strip_enumeration_asks_only_for_sizes_a_side_can_supply(monkeypatch):
     # each side gives up at most its rim, so no walk comes back empty; and
-    # one table build walks each side and size at most once, which is why
+    # one enumeration walks each side and size at most once, which is why
     # the walk needs no cache of its own
-    builds = []  # per table build: its outer and the (side, size) of each walk
+    walked = []  # the (side, size) of each walk of the enumeration under way
     empty = []
     walk = shapes_module._no_2x2_inners
-    build = hecke_module._removal_table
 
     def recorded_walk(outer, removed):
-        inners, stats = walk(outer, removed)
-        if not inners:
+        found = walk(outer, removed)
+        if not found:
             empty.append((outer, removed))
-        builds[-1][1].append((outer, removed))
-        return inners, stats
-
-    def recorded_build(outer, size, bar_kind):
-        builds.append((outer, []))
-        return build(outer, size, bar_kind)
+        walked.append((outer, removed))
+        return found
 
     monkeypatch.setattr(shapes_module, "_no_2x2_inners", recorded_walk)
-    monkeypatch.setattr(hecke_module, "_removal_table", recorded_build)
-    recursion_check(5, 4, [8, 12])
-    trace_table(4)
-    assert sum(len(walked) for _, walked in builds) > len(builds) > 0
+    walks = enumerations = 0
+    for n in range(9):
+        for outer in bipartitions_of(n):
+            for size in range(1, n + 2):
+                for removals in (
+                    shapes_module.broken_strip_removals(outer, size),
+                    *(shapes_module.single_strip_removals(outer, size, kind)
+                      for kind in (None, "B", "D")),
+                ):
+                    walked.clear()
+                    for _ in removals:
+                        pass
+                    # a side equal to the other may be walked for each
+                    assert all(walked.count(w) <= outer.count(w[0]) for w in walked), (
+                        outer, size, walked)
+                    walks += len(walked)
+                    enumerations += 1
+    assert walks > enumerations > 0
     assert empty == []
-    for outer, walked in builds:  # a side equal to the other may be walked for each
-        assert all(walked.count(w) <= outer.count(w[0]) for w in walked), (outer, walked)
 
 
 def test_each_report_builds_each_u1_table_once(monkeypatch):
@@ -322,6 +335,26 @@ def test_b_staircase_is_one_monomial_on_both_routes():
             assert f_lambda("B", special_cuspidal("B", d)[0], cycles) == value, d
 
 
+def test_b_d2_cuspidal_sums_at_rank_6_match_the_seminormal_model():
+    # the family sum of the B cuspidal symbol at d = 2 over its 10 members,
+    # each trace taken in the matrix model on the word the engine reads,
+    # at u^(1/2) = 2; the engine's f_lambda gives the same values
+    usq = Fraction(2)
+    members = cuspidal_index_set("B", 2)
+    assert len(members) == 10
+    cuspidal = special_cuspidal("B", 2)[0]
+    for cycles, want in (([6], 0), ([-6], 0), ([-2, 4], 0), ([2, 4], 0),
+                         ([-3, -3], -8192), ([-2, -4], 1024)):
+        word = word_for_b_cycles_in_order(cycles, 6)
+        got = sum(
+            cuspidal_pair_sign("B", 2, member)
+            * trace_of_word(build_b_generators(member.alpha, member.beta, usq), word)
+            for member in members
+        )
+        assert got == want, cycles
+        assert eval_halflaurent(f_lambda("B", cuspidal, cycles), usq) == want, cycles
+
+
 # -- claim-specific cycle lists ---------------------------------------------------
 
 
@@ -373,6 +406,21 @@ def test_verify_nonvanishing_verdict_tracks_value():
             [(t["halfexp"], Fraction(t["num"], t["den"])) for t in report.fields["value"]["terms"]]
         )
         assert report.passed == (not value.is_zero())
+
+
+def test_verify_nonvanishing_checks_the_rank_before_the_recipe(monkeypatch):
+    # the witness cycles grow with d, so a d past max_rank is refused before
+    # they are built; a bad d is still a ValueError first
+    def fail(kind, d):
+        raise AssertionError("the recipe was built")
+
+    monkeypatch.setattr(almost_module, "prop_cycles", fail)
+    for kind, d, rank in (("B", 10**6, 10**12 + 10**6), ("D", 10**6, 4 * 10**12)):
+        with pytest.raises(ResourceGuardError, match=f"rank {rank} exceeds"):
+            verify_nonvanishing(kind, d, Config())
+    for bad in (0, True):
+        with pytest.raises(ValueError, match="d must be"):
+            verify_nonvanishing("B", bad, Config())
 
 
 def test_recursion_check_5_4():

@@ -214,6 +214,9 @@ def test_malformed_input_exit_two(capsys, argv):
         ["family", "involution-check", "--kind", "D", "--n", "40"],
         # Z1 = 0..18 names a rank-90 family
         ["family", "pairing-matrix", "--kind", "B", "--Z1", ",".join(map(str, range(19)))],
+        # refused before the witness cycles, which grow with d, are built
+        ["verify", "prop713", "--d", "100000"],
+        ["verify", "prop714", "--d", "100000"],
     ],
 )
 def test_rank_guard_on_every_command(capsys, argv):

@@ -64,10 +64,8 @@ def test_every_name_the_package_imports_resolves():
 
 
 #: every module-level functools cache, by the module that defines it; the
-#: README and the shapes module docstring name these two, which intern
-#: strip values under small integer keys.  No cache is keyed by a
-#: bipartition: the removal tables last one memo entry, or one
-#: orthogonality report
+#: README names these two, which intern strip values under small integer
+#: keys.  No cache is keyed by a bipartition
 CACHES = {
     "shapes": {"_delta_value", "_delta_bar_value"},
     "hecke": set(),

@@ -175,6 +175,21 @@ def test_scalar_multiplication_refuses_a_bool(flag):
             x * flag
 
 
+@pytest.mark.parametrize("scalar", [1, 0, Fraction(1, 2), True, 1.0])
+def test_adding_a_scalar_is_a_type_error_in_either_order(scalar):
+    # a scalar multiplies a polynomial but is never added to one: write
+    # x + scalar * ONE
+    for x in (u_power(1), U, ZERO):
+        with pytest.raises(TypeError):
+            x + scalar
+        with pytest.raises(TypeError):
+            scalar + x
+        with pytest.raises(TypeError):
+            x - scalar
+        with pytest.raises(TypeError):
+            scalar - x
+
+
 @pytest.mark.parametrize("power", [True, False, 1.0, 2.5, Fraction(2), "2"])
 def test_pow_refuses_an_exponent_that_is_not_an_int(power):
     for x in (u_power(1), U, ZERO):

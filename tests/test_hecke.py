@@ -29,6 +29,7 @@ from almostchar.shapes import (
     BiPartition,
     bipartition,
     bipartitions_of,
+    broken_strip_removals,
     delta,
     delta_bar,
     partitions_of,
@@ -465,30 +466,6 @@ def test_chain_sum_is_zero_off_the_prefix_size():
     assert _traces_at_one(no_cycles, [bp([1], []), bp([], [])], {}, NO_LIMITS) == [0, 1]
 
 
-# -- the shared removal table against the unpruned enumeration -----------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 8).flatmap(lambda n: st.sampled_from(list(bipartitions_of(n)))))
-def test_removal_table_matches_filtered_unpruned_enumeration(outer):
-    table = hecke_module._removal_table
-    # the enumeration order, so each memo entry is built as before: broken
-    # strips by the cells alpha gives up, ascending, then by inner; single
-    # strips in alpha before those in beta, then by inner
-    steps = (
-        (None, delta, lambda inner: sum(outer.alpha) - sum(inner.alpha)),
-        ("B", lambda shape: delta_bar(shape, "B"), lambda inner: inner.alpha == outer.alpha),
-        ("D", lambda shape: delta_bar(shape, "D"), lambda inner: inner.alpha == outer.alpha),
-    )
-    for m in range(outer.size + 1):
-        naive = remove_strips(outer, m)  # sorted by inner
-        for bar_kind, score, order in steps:
-            inners, factors = table(outer, m, bar_kind)
-            want = [(inner, score(shape)) for inner, shape in naive if score(shape)]
-            want.sort(key=lambda pair: order(pair[0]))
-            assert list(zip(inners, factors)) == want, (outer, m, bar_kind)
-
-
 # -- the u = 1 path against the polynomial engine -------------------------------
 
 
@@ -502,8 +479,11 @@ def test_removal_table_at_one_is_the_nonzero_part_of_the_table_at_one():
             for size in range(1, n + 2):
                 for bar_kind in (None, "B", "D"):
                     at_one = hecke_module._removal_table_at_one(outer, size, bar_kind)
-                    inners, factors = hecke_module._removal_table(outer, size, bar_kind)
-                    want = {i: f.eval_one() for i, f in zip(inners, factors) if f.eval_one()}
+                    if bar_kind is None:
+                        removals = broken_strip_removals(outer, size)
+                    else:
+                        removals = single_strip_removals(outer, size, bar_kind)
+                    want = {i: f.eval_one() for i, f in removals if f.eval_one()}
                     assert dict(at_one) == want, (outer, size, bar_kind)
                     assert len(at_one) == len(want)
                     assert all(type(v) is int and abs(v) == 1 for _, v in at_one)
