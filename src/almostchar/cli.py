@@ -16,6 +16,12 @@ and verify orthogonality load hecke (with shapes and halflaurent) but
 neither symbols nor almost; flambda, fab, the other verify commands,
 diagnose and family involution-check load almost, and with it the whole
 engine.  csv loads only for --format csv.
+
+The parser is built from one table, _COMMANDS: a row per command,
+(group, action or None, handler, flags), in the order --help lists them.
+A flag that several commands share is one (name, keywords) spec, changed
+per row through _opt where a command gives it other help or keywords; a
+new command is a new row.
 """
 
 from __future__ import annotations
@@ -27,19 +33,6 @@ import sys
 from .config import Config, ResourceGuardError
 
 __all__ = ["main"]
-
-
-def _common_flags() -> argparse.ArgumentParser:
-    limits = Config()
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "plain"), default="json")
-    common.add_argument("--max-rank", type=int, default=limits.max_rank, metavar="N")
-    common.add_argument("--workers", type=int, default=0, metavar="W",
-                        help="accepted and ignored: traces run in one thread")
-    common.add_argument("--memo-budget", type=int, default=limits.memo_budget, metavar="E")
-    common.add_argument("--no-timing", action="store_true",
-                        help="omit elapsed-time fields (for byte-stable output)")
-    return common
 
 
 def _json_arg(text: str, what: str):
@@ -59,7 +52,16 @@ def _distinct(row, what: str):
 
 def _parse_row(text: str | None, flag: str) -> list:
     text = (text or "").strip()
-    return _distinct([int(x) for x in text.split(",")] if text else [], flag)
+    try:
+        row = [int(x) for x in text.split(",")] if text else []
+    except ValueError:
+        raise ValueError(f"{flag} must be a comma separated row of integers (e.g. 0,2), "
+                         f"got {text}") from None
+    return _distinct(row, flag)
+
+
+def _int_list(obj) -> bool:
+    return isinstance(obj, list) and all(type(x) is int for x in obj)
 
 
 def _parse_symbol(args):
@@ -68,6 +70,9 @@ def _parse_symbol(args):
         if args.S is not None or args.T is not None:
             raise ValueError("give the symbol either as --symbol or as --S/--T, not both")
         obj = _json_arg(args.symbol, "--symbol")
+        if not (isinstance(obj, dict) and _int_list(obj.get("S")) and _int_list(obj.get("T"))):
+            raise ValueError('--symbol must be a JSON object {"S":[...],"T":[...]} '
+                             f"of two integer rows, got {args.symbol}")
         return shift_canonicalize(_distinct(obj["S"], "--symbol S"),
                                   _distinct(obj["T"], "--symbol T"))
     return shift_canonicalize(_parse_row(args.S, "--S"), _parse_row(args.T, "--T"))
@@ -76,16 +81,14 @@ def _parse_symbol(args):
 def _parse_bipartition(text: str):
     from .shapes import BiPartition
     obj = _json_arg(text, "--lambda")
-    if not (isinstance(obj, list) and len(obj) == 2):
-        raise ValueError("--lambda must be a JSON pair [[...],[...]]")
+    if not (isinstance(obj, list) and len(obj) == 2 and all(map(_int_list, obj))):
+        raise ValueError(f"--lambda must be a JSON pair of integer lists [[...],[...]], got {text}")
     return BiPartition.from_json_obj(obj)
 
 
 def _parse_cycles(text: str) -> tuple:
     obj = _json_arg(text, "--cycles")
-    if not isinstance(obj, list) or any(
-        isinstance(c, bool) or not isinstance(c, int) for c in obj
-    ):
+    if not _int_list(obj):
         raise ValueError("--cycles must be a JSON list of nonzero integers")
     return tuple(obj)
 
@@ -288,99 +291,79 @@ def _emit(doc, fmt: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# parser assembly.  argparse prints groups and flags in the order they are
+# added, so the rows and flags of _COMMANDS are in --help order.
 # ---------------------------------------------------------------------------
 
 
+def _common_flags() -> argparse.ArgumentParser:
+    limits = Config()
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("json", "csv", "plain"), default="json")
+    common.add_argument("--max-rank", type=int, default=limits.max_rank, metavar="N")
+    common.add_argument("--workers", type=int, default=0, metavar="W",
+                        help="accepted and ignored: traces run in one thread")
+    common.add_argument("--memo-budget", type=int, default=limits.memo_budget, metavar="E")
+    common.add_argument("--no-timing", action="store_true",
+                        help="omit elapsed-time fields (for byte-stable output)")
+    return common
+
+
+def _opt(flag, **changes):  # flag with some of its keywords changed
+    return flag[0], {**flag[1], **changes}
+
+
+_INT = {"type": int, "required": True}
+_N, _A, _B, _D = ("--n", _INT), ("--a", _INT), ("--b", _INT), ("--d", _INT)
+_KIND = "--kind", {"choices": ("B", "D"), "required": True}
+_CYCLES = "--cycles", {"required": True}
+_SYMBOL, _S, _T = ("--symbol", {}), ("--S", {}), ("--T", {})
+
+_COMMANDS = (
+    ("symbol", "info", _cmd_symbol_info,
+     (_opt(_S, help="comma separated row, e.g. 0,2"), _T,
+      _opt(_SYMBOL, help='JSON {"S":[...],"T":[...]}'), _opt(_KIND, required=False))),
+    ("family", "list", _cmd_family_list, (_KIND, _N)),
+    ("family", "pairing-matrix", _cmd_family_pairing_matrix,
+     (_KIND, _SYMBOL, _S, _T, ("--Z1", {}), ("--Z2", {}))),
+    ("family", "involution-check", _cmd_family_involution_check,
+     (_KIND, _opt(_N, help="check every rank up to n"))),
+    ("mn", "eval", _cmd_mn_eval,
+     (_KIND, ("--lambda", {"required": True, "help": "JSON [[alpha],[beta]]"}),
+      _opt(_CYCLES, help="JSON signed list, e.g. [-2]"))),
+    ("flambda", None, _cmd_flambda, (_KIND, _SYMBOL, _S, _T, _CYCLES)),
+    ("fab", None, _cmd_fab, (_A, _B, _CYCLES)),
+    ("verify", "prop713", _cmd_verify_nonvanishing("B"), (_D,)),
+    ("verify", "prop714", _cmd_verify_nonvanishing("D"), (_D,)),
+    ("verify", "recursion", _cmd_verify_recursion, (_A, _B, _CYCLES)),
+    ("verify", "orthogonality", _cmd_verify_orthogonality, (_N,)),
+    ("verify", "m2", _cmd_verify_m2,
+     (_N, _opt(_KIND, choices=("B", "D", "both"), default="both", required=False))),
+    ("enumerate", "pab", _cmd_enumerate_pab,
+     (("pos_a", {"nargs": "?", "type": int, "metavar": "A"}),
+      ("pos_b", {"nargs": "?", "type": int, "metavar": "B"}),
+      _opt(_A, required=False), _opt(_B, required=False),
+      ("--unordered", {"action": "store_true"}))),
+    ("diagnose", "d-swap", _cmd_diagnose_d_swap, (_N,)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
+    parents = [_common_flags()]
     parser = argparse.ArgumentParser(
         prog="almostchar",
         description="Symbols, families, Hecke traces and verification reports.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-
-    symbol = groups.add_parser("symbol").add_subparsers(dest="action", required=True)
-    info = symbol.add_parser("info", parents=[common])
-    info.add_argument("--S", default=None, help="comma separated row, e.g. 0,2")
-    info.add_argument("--T", default=None)
-    info.add_argument("--symbol", default=None, help='JSON {"S":[...],"T":[...]}')
-    info.add_argument("--kind", choices=("B", "D"), default=None)
-    info.set_defaults(func=_cmd_symbol_info)
-
-    family = groups.add_parser("family").add_subparsers(dest="action", required=True)
-    flist = family.add_parser("list", parents=[common])
-    flist.add_argument("--kind", choices=("B", "D"), required=True)
-    flist.add_argument("--n", type=int, required=True)
-    flist.set_defaults(func=_cmd_family_list)
-    fmat = family.add_parser("pairing-matrix", parents=[common])
-    fmat.add_argument("--kind", choices=("B", "D"), required=True)
-    fmat.add_argument("--symbol", default=None)
-    fmat.add_argument("--S", default=None)
-    fmat.add_argument("--T", default=None)
-    fmat.add_argument("--Z1", default=None)
-    fmat.add_argument("--Z2", default=None)
-    fmat.set_defaults(func=_cmd_family_pairing_matrix)
-    finv = family.add_parser("involution-check", parents=[common])
-    finv.add_argument("--kind", choices=("B", "D"), required=True)
-    finv.add_argument("--n", type=int, required=True, help="check every rank up to n")
-    finv.set_defaults(func=_cmd_family_involution_check)
-
-    mn = groups.add_parser("mn").add_subparsers(dest="action", required=True)
-    meval = mn.add_parser("eval", parents=[common])
-    meval.add_argument("--kind", choices=("B", "D"), required=True)
-    meval.add_argument("--lambda", required=True, help="JSON [[alpha],[beta]]")
-    meval.add_argument("--cycles", required=True, help="JSON signed list, e.g. [-2]")
-    meval.set_defaults(func=_cmd_mn_eval)
-
-    fl = groups.add_parser("flambda", parents=[common])
-    fl.add_argument("--kind", choices=("B", "D"), required=True)
-    fl.add_argument("--symbol", default=None)
-    fl.add_argument("--S", default=None)
-    fl.add_argument("--T", default=None)
-    fl.add_argument("--cycles", required=True)
-    fl.set_defaults(func=_cmd_flambda)
-
-    fab = groups.add_parser("fab", parents=[common])
-    fab.add_argument("--a", type=int, required=True)
-    fab.add_argument("--b", type=int, required=True)
-    fab.add_argument("--cycles", required=True)
-    fab.set_defaults(func=_cmd_fab)
-
-    verify = groups.add_parser("verify").add_subparsers(dest="action", required=True)
-    v713 = verify.add_parser("prop713", parents=[common])
-    v713.add_argument("--d", type=int, required=True)
-    v713.set_defaults(func=_cmd_verify_nonvanishing("B"))
-    v714 = verify.add_parser("prop714", parents=[common])
-    v714.add_argument("--d", type=int, required=True)
-    v714.set_defaults(func=_cmd_verify_nonvanishing("D"))
-    vrec = verify.add_parser("recursion", parents=[common])
-    vrec.add_argument("--a", type=int, required=True)
-    vrec.add_argument("--b", type=int, required=True)
-    vrec.add_argument("--cycles", required=True)
-    vrec.set_defaults(func=_cmd_verify_recursion)
-    vorth = verify.add_parser("orthogonality", parents=[common])
-    vorth.add_argument("--n", type=int, required=True)
-    vorth.set_defaults(func=_cmd_verify_orthogonality)
-    vm2 = verify.add_parser("m2", parents=[common])
-    vm2.add_argument("--n", type=int, required=True)
-    vm2.add_argument("--kind", choices=("B", "D", "both"), default="both")
-    vm2.set_defaults(func=_cmd_verify_m2)
-
-    enum = groups.add_parser("enumerate").add_subparsers(dest="action", required=True)
-    pab = enum.add_parser("pab", parents=[common])
-    pab.add_argument("pos_a", nargs="?", type=int, default=None, metavar="A")
-    pab.add_argument("pos_b", nargs="?", type=int, default=None, metavar="B")
-    pab.add_argument("--a", type=int, default=None)
-    pab.add_argument("--b", type=int, default=None)
-    pab.add_argument("--unordered", action="store_true")
-    pab.set_defaults(func=_cmd_enumerate_pab)
-
-    diagnose = groups.add_parser("diagnose").add_subparsers(dest="action", required=True)
-    dswap = diagnose.add_parser("d-swap", parents=[common])
-    dswap.add_argument("--n", type=int, required=True)
-    dswap.set_defaults(func=_cmd_diagnose_d_swap)
-
+    actions = {}  # group -> its subcommands, made at the group's first row
+    for group, action, handler, flags in _COMMANDS:
+        if action is not None and group not in actions:
+            actions[group] = groups.add_parser(group).add_subparsers(dest="action", required=True)
+        where = groups if action is None else actions[group]
+        command = where.add_parser(action or group, parents=parents)
+        for name, options in flags:
+            command.add_argument(name, **options)
+        command.set_defaults(func=handler)
     return parser
 
 

@@ -152,6 +152,12 @@ def _removal_table_at_one(outer: BiPartition, size: int, bar_kind: str | None) -
     )
 
 
+def _steps(br: BrSequence) -> tuple:
+    """(size, bar_kind) per cycle of br.cycles: bar_kind is br.kind for a
+    barred cycle and None for a plain one."""
+    return tuple((abs(c), br.kind if c < 0 else None) for c in br.cycles)
+
+
 class MNContext:
     """Memoized chain summation for one element br.
 
@@ -159,12 +165,12 @@ class MNContext:
     after another, so that they reuse each other's partial sums.  The
     config's memo_budget (none by default) is a loose cap on the entries
     its memo stores; going past it raises ResourceGuardError instead of
-    thrashing.  steps holds (size, bar_kind) per cycle of br.cycles.
+    thrashing.  steps holds _steps(br), the (size, bar_kind) of each cycle.
     """
 
     def __init__(self, br: BrSequence, config: Config = NO_LIMITS):
         self.br = br
-        self.steps = tuple((abs(c), br.kind if c < 0 else None) for c in br.cycles)
+        self.steps = _steps(br)
         self.prefactor = half_power(l_prime(br))
         self.memo_budget = config.memo_budget
         self._memo: dict = {}
@@ -206,7 +212,7 @@ def _traces_at_one(br: BrSequence, bps, tables: dict, config: Config) -> list:
     tables maps (outer, size, bar_kind) to its _removal_table_at_one table,
     and a sweep passes one dict to every call, so that it builds each table
     once; config's memo_budget caps this call's memo plus the tables."""
-    steps = MNContext(br).steps
+    steps = _steps(br)
     memo: dict = {}
 
     def chain(outer: BiPartition, k: int) -> int:

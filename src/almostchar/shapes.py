@@ -50,6 +50,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
+from .config import check_int
 from .halflaurent import HalfLaurent, ONE, U, ZERO, _from_clean, half_power
 
 __all__ = [
@@ -171,8 +172,11 @@ def partitions_in_box(rows: int, cols: int) -> tuple[Partition, ...]:
     Ordered by (size, lexicographic).  The one user downstream is
     `symbols.enumerate_P_ab`, which walks this box to build the rectangle
     pairs P(a, b).  Filled row by row under the previous part, so only
-    partitions that fit are ever built.
+    partitions that fit are ever built.  A side that is negative, or not
+    an int (a bool included), raises ValueError.
     """
+    if check_int("rows", rows) < 0 or check_int("cols", cols) < 0:
+        raise ValueError("box dimensions must be nonnegative")
 
     def fill(rows_left: int, bound: int) -> Iterator[Partition]:
         yield ()

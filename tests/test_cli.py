@@ -206,6 +206,30 @@ def test_malformed_input_exit_two(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["symbol", "info", "--symbol", "[1,2]"],
+         '--symbol must be a JSON object {"S":[...],"T":[...]}'),
+        (["symbol", "info", "--symbol", '{"S":[0,1]}'],
+         '--symbol must be a JSON object {"S":[...],"T":[...]}'),
+        (["flambda", "--kind", "B", "--symbol", '{"S":[[0]],"T":[]}', "--cycles", "[2]"],
+         '--symbol must be a JSON object {"S":[...],"T":[...]}'),
+        (["mn", "eval", "--kind", "B", "--lambda", "[1,2]", "--cycles", "[2]"],
+         "--lambda must be a JSON pair of integer lists [[...],[...]]"),
+        (["family", "pairing-matrix", "--kind", "B", "--Z1", "0,1,x"],
+         "--Z1 must be a comma separated row of integers"),
+        (["symbol", "info", "--S", "0,2", "--T", "1,y"],
+         "--T must be a comma separated row of integers"),
+    ],
+)
+def test_malformed_input_names_the_flag_and_its_form(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "m2", "--n", "40"],
@@ -320,6 +344,35 @@ def test_command_loads_only_the_modules_it_runs(argv, unloaded):
     # each command imports the engine names it calls, so a command that
     # computes no trace compiles neither hecke nor almost
     assert _modules_loaded_by(argv) & unloaded == set()
+
+
+COMMANDS = [
+    ["symbol", "info"], ["family", "list"], ["family", "pairing-matrix"],
+    ["family", "involution-check"], ["mn", "eval"], ["flambda"], ["fab"],
+    ["verify", "prop713"], ["verify", "prop714"], ["verify", "recursion"],
+    ["verify", "orthogonality"], ["verify", "m2"], ["enumerate", "pab"],
+    ["diagnose", "d-swap"],
+]
+
+
+@pytest.mark.parametrize("path", COMMANDS, ids=" ".join)
+def test_every_command_answers_help(capsys, path):
+    with pytest.raises(SystemExit) as exit_:
+        main(path + ["-h"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: almostchar {' '.join(path)} [-h]")
+    assert "--no-timing" in out
+
+
+def test_top_level_help_lists_the_groups_in_table_order(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["-h"])
+    assert exit_.value.code == 0
+    groups = list(dict.fromkeys(path[0] for path in COMMANDS))
+    assert groups == ["symbol", "family", "mn", "flambda", "fab", "verify", "enumerate",
+                      "diagnose"]
+    assert "{" + ",".join(groups) + "}" in capsys.readouterr().out
 
 
 def test_output_formats(capsys):

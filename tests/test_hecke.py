@@ -466,6 +466,21 @@ def test_chain_sum_is_zero_off_the_prefix_size():
     assert _traces_at_one(no_cycles, [bp([1], []), bp([], [])], {}, NO_LIMITS) == [0, 1]
 
 
+def test_trace_context_and_u_one_recursion_share_the_steps(monkeypatch):
+    br = br_from_cycles("B", [-2, 3, -1])
+    assert hecke_module._steps(br) == ((2, "B"), (3, None), (1, "B"))
+    assert MNContext(br).steps == hecke_module._steps(br)
+    # the u = 1 recursion reads the steps without building a trace context
+    lams = list(bipartitions_of(6))
+    want = _traces_at_one(br, lams, {}, NO_LIMITS)
+
+    def no_context(*args, **kwargs):
+        raise AssertionError("_traces_at_one built an MNContext")
+
+    monkeypatch.setattr(hecke_module, "MNContext", no_context)
+    assert _traces_at_one(br, lams, {}, NO_LIMITS) == want
+
+
 # -- the u = 1 path against the polynomial engine -------------------------------
 
 

@@ -351,6 +351,14 @@ def test_partitions_in_box_count_and_order():
     assert len(partitions_in_box(3, 2)) == 10
 
 
+@pytest.mark.parametrize("rows, cols", [(-1, 2), (2, -1), (True, 2), (2, False), (2.0, 2)])
+def test_partitions_in_box_refuses_a_side_that_is_not_a_count(rows, cols):
+    # a negative side used to recurse until RecursionError, and a bool
+    # side used to be read as 1 or 0
+    with pytest.raises(ValueError):
+        partitions_in_box(rows, cols)
+
+
 def test_bipartition_json_roundtrip():
     x = bp((2, 1), (1,))
     assert BiPartition.from_json_obj(x.to_json_obj()) == x
