@@ -133,21 +133,27 @@ def f_ab(a: int, b: int, cycles, config: Config = NO_LIMITS) -> HalfLaurent:
     return _weighted_trace_sum(kind, terms, br, config)
 
 
-def delta_const(kind: str, d: int) -> Fraction:
-    """The constant relating f of the cuspidal symbol to the rectangle sum."""
+def _cuspidal_box(kind: str, d: int) -> tuple:
+    """The rectangle (a, b) of the cuspidal symbol at d: (d+1, d) for kind
+    B, (2d, 2d) for D.  The one check of the cuspidal parameters: kind is
+    B or D and d is a positive int."""
     check_kind(kind)
     if check_int("d", d) < 1:
         raise ValueError("d must be positive")
+    return (d + 1, d) if kind == "B" else (2 * d, 2 * d)
+
+
+def delta_const(kind: str, d: int) -> Fraction:
+    """The constant relating f of the cuspidal symbol to the rectangle sum."""
+    _cuspidal_box(kind, d)
     if kind == "B":
         return Fraction((-1) ** (d * (d + 1) // 2), 2 ** d)
     return Fraction((-1) ** (d * (2 * d - 1)), 2 ** (2 * d - 1))
 
 
 def cuspidal_index_set(kind: str, d: int) -> list:
-    check_kind(kind)
-    if kind == "B":
-        return enumerate_P_ab(d + 1, d)
-    return enumerate_P_ab(2 * d, 2 * d, unordered=True)
+    a, b = _cuspidal_box(kind, d)
+    return enumerate_P_ab(a, b, unordered=kind == "D")
 
 
 def cuspidal_pair_sign(kind: str, d: int, bp: BiPartition) -> Fraction:
@@ -170,12 +176,8 @@ def f_cuspidal_via_rectangles(
     kind: str, d: int, cycles, config: Config = NO_LIMITS
 ) -> HalfLaurent:
     """Second route to f of the cuspidal symbol: delta_const times f_ab."""
-    check_kind(kind)
-    if kind == "B":
-        value = f_ab(d + 1, d, cycles, config)
-    else:
-        value = f_ab(2 * d, 2 * d, cycles, config)
-    return delta_const(kind, d) * value
+    a, b = _cuspidal_box(kind, d)
+    return delta_const(kind, d) * f_ab(a, b, cycles, config)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +187,8 @@ def f_cuspidal_via_rectangles(
 
 def _cuspidal_rank(kind: str, d: int) -> int:
     """The rank of the cuspidal symbol at d: d^2+d for kind B, 4d^2 for D."""
-    check_kind(kind)
-    if check_int("d", d) < 1:
-        raise ValueError("d must be positive")
-    return d * d + d if kind == "B" else 4 * d * d
+    a, b = _cuspidal_box(kind, d)
+    return a * b
 
 
 def prop_cycles(kind: str, d: int) -> tuple:

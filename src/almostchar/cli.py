@@ -1,10 +1,11 @@
 """Command line interface.
 
-Every command prints one document to stdout: compact JSON by default,
-or csv / plain renderings of the same data.  Exit codes: 0 success (and
-verification passed), 1 a verification ran and did not pass, 2 invalid
-input, 3 a resource guard tripped (raise --max-rank / --memo-budget to
-proceed).  With a fixed format and --no-timing the bytes are identical
+Every command prints one document to stdout, as compact JSON, and each
+input has one spelling: a symbol is --S/--T, a family --Z1/--Z2, a box
+the positionals A B.  Exit codes: 0 success (and verification passed),
+1 a verification ran and did not pass, 2 invalid input (argparse's usage
+error included), 3 a resource guard tripped (raise --max-rank /
+--memo-budget to proceed).  With --no-timing the bytes are identical
 across runs.  Traces are evaluated in one thread; --workers is accepted
 and has no effect.
 
@@ -15,7 +16,7 @@ enumerate commands load symbols (with shapes and halflaurent); mn eval
 and verify orthogonality load hecke (with shapes and halflaurent) but
 neither symbols nor almost; flambda, fab, the other verify commands,
 diagnose and family involution-check load almost, and with it the whole
-engine.  csv loads only for --format csv.
+engine.
 
 The parser is built from one table, _COMMANDS: a row per command,
 (group, action or None, handler, flags), in the order --help lists them.
@@ -42,53 +43,33 @@ def _json_arg(text: str, what: str):
         raise ValueError(f"{what} is not valid JSON: {e}") from None
 
 
-def _distinct(row, what: str):
-    """row itself, unless it repeats an entry (every symbol row and family
-    key row is a set, so a repeat is a typo, not a merge)."""
-    if len(set(row)) != len(row):
-        raise ValueError(f"{what} repeats an entry: {','.join(map(str, row))}")
-    return row
-
-
 def _parse_row(text: str | None, flag: str) -> list:
+    """The integers of a comma separated row.  Every symbol row and family
+    key row is a set, so a repeated entry is a typo, not a merge."""
     text = (text or "").strip()
     try:
         row = [int(x) for x in text.split(",")] if text else []
     except ValueError:
         raise ValueError(f"{flag} must be a comma separated row of integers (e.g. 0,2), "
                          f"got {text}") from None
-    return _distinct(row, flag)
-
-
-def _int_list(obj) -> bool:
-    return isinstance(obj, list) and all(type(x) is int for x in obj)
+    if len(set(row)) != len(row):
+        raise ValueError(f"{flag} repeats an entry: {','.join(map(str, row))}")
+    return row
 
 
 def _parse_symbol(args):
     from .symbols import shift_canonicalize
-    if args.symbol is not None:
-        if args.S is not None or args.T is not None:
-            raise ValueError("give the symbol either as --symbol or as --S/--T, not both")
-        obj = _json_arg(args.symbol, "--symbol")
-        if not (isinstance(obj, dict) and _int_list(obj.get("S")) and _int_list(obj.get("T"))):
-            raise ValueError('--symbol must be a JSON object {"S":[...],"T":[...]} '
-                             f"of two integer rows, got {args.symbol}")
-        return shift_canonicalize(_distinct(obj["S"], "--symbol S"),
-                                  _distinct(obj["T"], "--symbol T"))
     return shift_canonicalize(_parse_row(args.S, "--S"), _parse_row(args.T, "--T"))
 
 
 def _parse_bipartition(text: str):
     from .shapes import BiPartition
-    obj = _json_arg(text, "--lambda")
-    if not (isinstance(obj, list) and len(obj) == 2 and all(map(_int_list, obj))):
-        raise ValueError(f"--lambda must be a JSON pair of integer lists [[...],[...]], got {text}")
-    return BiPartition.from_json_obj(obj)
+    return BiPartition.from_json_obj(_json_arg(text, "--lambda"), "--lambda")
 
 
 def _parse_cycles(text: str) -> tuple:
     obj = _json_arg(text, "--cycles")
-    if not _int_list(obj):
+    if not (isinstance(obj, list) and all(type(x) is int for x in obj)):
         raise ValueError("--cycles must be a JSON list of nonzero integers")
     return tuple(obj)
 
@@ -131,14 +112,6 @@ def _cmd_family_list(args, config):
 
 
 def _family_key(args):
-    if args.symbol is not None or args.S is not None or args.T is not None:
-        if args.Z1 is not None or args.Z2 is not None:
-            raise ValueError("give the family either as a symbol or as --Z1/--Z2, not both")
-        from .symbols import family_decompose
-        dec = family_decompose(_parse_symbol(args), args.kind)
-        return dec.Z1, dec.Z2
-    if args.Z1 is None:
-        raise ValueError("give either --symbol, --S/--T or --Z1/--Z2")
     rows = _parse_row(args.Z1, "--Z1"), _parse_row(args.Z2, "--Z2")
     for flag, row in zip(("--Z1", "--Z2"), rows):
         if any(x < 0 for x in row):
@@ -243,51 +216,17 @@ def _cmd_verify_m2(args, config):
 
 def _cmd_enumerate_pab(args, config):
     from .symbols import enumerate_P_ab
-    if None not in (args.a, args.pos_a) or None not in (args.b, args.pos_b):
-        raise ValueError("give each box side once, as a positional or as a flag")
-    a = args.a if args.a is not None else args.pos_a
-    b = args.b if args.b is not None else args.pos_b
-    if a is None or b is None:
-        raise ValueError("give the box as positionals `pab A B` or flags --a/--b")
-    if a < 0 or b < 0:
+    # before the rank guard, since two negative sides have a positive product
+    if args.a < 0 or args.b < 0:
         raise ValueError("box dimensions must be nonnegative")
-    config.check_rank(a * b)
-    pairs = enumerate_P_ab(a, b, unordered=args.unordered)
+    config.check_rank(args.a * args.b)
+    pairs = enumerate_P_ab(args.a, args.b, unordered=args.unordered)
     return 0, [bp.to_json_obj() for bp in pairs]
 
 
 def _cmd_diagnose_d_swap(args, config):
     from . import almost
     return _report_doc(args, almost.d_swap_diagnostic(args.n, config))
-
-
-# ---------------------------------------------------------------------------
-# emission
-# ---------------------------------------------------------------------------
-
-
-def _compact(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
-
-
-def _emit(doc, fmt: str) -> str:
-    if fmt == "json":
-        return _compact(doc) + "\n"
-    if isinstance(doc, list):
-        rows = [["index", "value"]] + [[str(i), _compact(x)] for i, x in enumerate(doc)]
-    elif isinstance(doc, dict):
-        rows = [["key", "value"]] + [[k, _compact(v)] for k, v in doc.items()]
-    else:
-        rows = [["value"], [_compact(doc)]]
-    if fmt == "csv":
-        import csv  # loaded only for --format csv
-        import io
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        return buf.getvalue()
-    width = max(len(r[0]) for r in rows[1:]) if len(rows) > 1 else 0
-    lines = [f"{r[0].ljust(width)}  {r[1]}" if len(r) > 1 else r[0] for r in rows[1:]]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +238,6 @@ def _emit(doc, fmt: str) -> str:
 def _common_flags() -> argparse.ArgumentParser:
     limits = Config()
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "plain"), default="json")
     common.add_argument("--max-rank", type=int, default=limits.max_rank, metavar="N")
     common.add_argument("--workers", type=int, default=0, metavar="W",
                         help="accepted and ignored: traces run in one thread")
@@ -317,21 +255,20 @@ _INT = {"type": int, "required": True}
 _N, _A, _B, _D = ("--n", _INT), ("--a", _INT), ("--b", _INT), ("--d", _INT)
 _KIND = "--kind", {"choices": ("B", "D"), "required": True}
 _CYCLES = "--cycles", {"required": True}
-_SYMBOL, _S, _T = ("--symbol", {}), ("--S", {}), ("--T", {})
+_S, _T = ("--S", {}), ("--T", {})
 
 _COMMANDS = (
     ("symbol", "info", _cmd_symbol_info,
-     (_opt(_S, help="comma separated row, e.g. 0,2"), _T,
-      _opt(_SYMBOL, help='JSON {"S":[...],"T":[...]}'), _opt(_KIND, required=False))),
+     (_opt(_S, help="comma separated row, e.g. 0,2"), _T, _opt(_KIND, required=False))),
     ("family", "list", _cmd_family_list, (_KIND, _N)),
     ("family", "pairing-matrix", _cmd_family_pairing_matrix,
-     (_KIND, _SYMBOL, _S, _T, ("--Z1", {}), ("--Z2", {}))),
+     (_KIND, ("--Z1", {"required": True}), ("--Z2", {}))),
     ("family", "involution-check", _cmd_family_involution_check,
      (_KIND, _opt(_N, help="check every rank up to n"))),
     ("mn", "eval", _cmd_mn_eval,
      (_KIND, ("--lambda", {"required": True, "help": "JSON [[alpha],[beta]]"}),
       _opt(_CYCLES, help="JSON signed list, e.g. [-2]"))),
-    ("flambda", None, _cmd_flambda, (_KIND, _SYMBOL, _S, _T, _CYCLES)),
+    ("flambda", None, _cmd_flambda, (_KIND, _S, _T, _CYCLES)),
     ("fab", None, _cmd_fab, (_A, _B, _CYCLES)),
     ("verify", "prop713", _cmd_verify_nonvanishing("B"), (_D,)),
     ("verify", "prop714", _cmd_verify_nonvanishing("D"), (_D,)),
@@ -340,9 +277,7 @@ _COMMANDS = (
     ("verify", "m2", _cmd_verify_m2,
      (_N, _opt(_KIND, choices=("B", "D", "both"), default="both", required=False))),
     ("enumerate", "pab", _cmd_enumerate_pab,
-     (("pos_a", {"nargs": "?", "type": int, "metavar": "A"}),
-      ("pos_b", {"nargs": "?", "type": int, "metavar": "B"}),
-      _opt(_A, required=False), _opt(_B, required=False),
+     (("a", {"type": int, "metavar": "A"}), ("b", {"type": int, "metavar": "B"}),
       ("--unordered", {"action": "store_true"}))),
     ("diagnose", "d-swap", _cmd_diagnose_d_swap, (_N,)),
 )
@@ -381,7 +316,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError) as e:
         print(f"almostchar: invalid input: {e}", file=sys.stderr)
         return 2
-    sys.stdout.write(_emit(doc, args.format))
+    sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
     return code
 
 

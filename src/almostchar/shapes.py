@@ -92,9 +92,14 @@ class BiPartition(NamedTuple):
         return [list(self.alpha), list(self.beta)]
 
     @classmethod
-    def from_json_obj(cls, obj) -> "BiPartition":
-        a, b = obj
-        return cls(partition(a), partition(b))
+    def from_json_obj(cls, obj, name: str = "a bipartition") -> "BiPartition":
+        """The bipartition of a JSON pair of integer lists; else ValueError
+        naming `name` (the CLI passes its flag) and that form."""
+        if not (isinstance(obj, list) and len(obj) == 2 and all(
+                isinstance(side, list) and all(type(x) is int for x in side) for side in obj)):
+            raise ValueError(f"{name} must be a JSON pair of integer lists [[...],[...]], "
+                             f"got {obj!r}")
+        return cls(partition(obj[0]), partition(obj[1]))
 
 
 class SkewBiShape(NamedTuple):

@@ -71,10 +71,6 @@ class Symbol(NamedTuple):
     def to_json_obj(self) -> dict:
         return {"S": list(self.rowS), "T": list(self.rowT)}
 
-    @classmethod
-    def from_json_obj(cls, obj) -> "Symbol":
-        return shift_canonicalize(obj["S"], obj["T"])
-
     def __str__(self) -> str:
         fmt = lambda row: "{" + ",".join(map(str, row)) + "}"
         return f"({fmt(self.rowS)};{fmt(self.rowT)})"

@@ -95,6 +95,20 @@ def test_cuspidal_index_set_contents():
     ]
 
 
+@pytest.mark.parametrize("d", [0, -1, True])
+@pytest.mark.parametrize("kind", ["B", "D"])
+@pytest.mark.parametrize(
+    "call",
+    [cuspidal_index_set, lambda kind, d: f_cuspidal_via_rectangles(kind, d, [2])],
+    ids=["cuspidal_index_set", "f_cuspidal_via_rectangles"],
+)
+def test_cuspidal_parameters_are_checked_in_one_place(call, kind, d):
+    # cuspidal_index_set used to return [((), ())] at d = 0 and blame the
+    # box side b (or its sign) at d = True or -1
+    with pytest.raises(ValueError, match="d must be"):
+        call(kind, d)
+
+
 def test_cuspidal_pair_sign_examples():
     assert cuspidal_pair_sign("B", 1, bp([1], [1])) == Fraction(1, 2)
     assert cuspidal_pair_sign("B", 1, bp([1, 1], [])) == Fraction(-1, 2)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import almostchar
-from almostchar.cli import main
+from almostchar.cli import build_parser, main
 
 
 def run(capsys, argv):
@@ -39,13 +40,6 @@ def test_symbol_info(capsys):
     assert obj["rank"] == 2 and obj["defect"] == 3
     assert obj["family"]["Z1"] == [0, 1, 2]
 
-    # the same symbol can come in as one JSON object
-    code, out2, _ = run(
-        capsys, ["symbol", "info", "--symbol", '{"S":[0,1,2],"T":[]}', "--no-timing"]
-    )
-    assert code == 0
-    assert json.loads(out2)["rank"] == 2
-
 
 def test_family_list_and_pairing_matrix(capsys):
     code, out, _ = run(capsys, ["family", "list", "--kind", "B", "--n", "2",
@@ -62,14 +56,6 @@ def test_family_list_and_pairing_matrix(capsys):
     obj = json.loads(out)
     assert len(obj["members"]) == 4
     assert len(obj["matrix"]) == 4
-
-    # the family can also be named by a member, as two rows or as one object
-    by_rows = ["family", "pairing-matrix", "--kind", "B", "--S", "0,1,2", "--T", ""]
-    by_object = ["family", "pairing-matrix", "--kind", "B", "--symbol", '{"S":[0,1,2],"T":[]}']
-    code, rows_out, _ = run(capsys, by_rows)
-    assert code == 0
-    assert run(capsys, by_object) == (0, rows_out, "")
-    assert rows_out == out
 
 
 def test_family_involution_check_exit_zero(capsys):
@@ -159,7 +145,7 @@ def test_resource_guards_exit_three(capsys):
     "argv",
     [
         ["mn", "eval", "--kind", "B", "--lambda", "[[1.5],[]]", "--cycles", "[1]"],
-        ["symbol", "info", "--symbol", '{"S":[0,1.5,2],"T":[]}'],
+        ["symbol", "info", "--S", "0,1.5,2", "--T", ""],
         ["mn", "eval", "--kind", "B", "--lambda", "[[1],[]]", "--cycles", "[true]"],
         ["mn", "eval", "--kind", "B", "--lambda", "[[1],[]]", "--cycles", "[1]",
          "--workers", "-1"],
@@ -169,8 +155,6 @@ def test_resource_guards_exit_three(capsys):
         ["verify", "m2", "--n", "-2"],
         ["family", "involution-check", "--kind", "B", "--n", "-1"],
         ["diagnose", "d-swap", "--n", "-1"],
-        # one box side given both as a positional and as a flag
-        ["enumerate", "pab", "2", "2", "--a", "3"],
         # a zero ahead of a positive part, refused rather than dropped
         ["mn", "eval", "--kind", "B", "--lambda", "[[1,0,1],[]]", "--cycles", "[-2]"],
         ["mn", "eval", "--kind", "B", "--lambda", "[[0,2],[]]", "--cycles", "[-2]"],
@@ -180,22 +164,21 @@ def test_resource_guards_exit_three(capsys):
         # a negative entry in either row: symbols have nonnegative entries
         ["family", "pairing-matrix", "--kind", "B", "--Z1", "0,1,-2"],
         ["family", "pairing-matrix", "--kind", "B", "--Z1", "0,1,2", "--Z2", "-1"],
-        # one input named two ways
-        ["symbol", "info", "--symbol", '{"S":[0,1,2],"T":[]}', "--S", "0,2", "--T", "1"],
-        ["flambda", "--kind", "B", "--symbol", '{"S":[0,1,2],"T":[]}', "--S", "0,2",
-         "--T", "1", "--cycles", "[-2]"],
-        ["family", "pairing-matrix", "--kind", "B", "--symbol", '{"S":[0,1,2],"T":[]}',
-         "--Z1", "0,1,2,3,4"],
         # negative box sides whose product is within the rank limit
-        ["enumerate", "pab", "--a", "-30", "--b", "-1"],
+        ["enumerate", "pab", "-30", "-1"],
         ["fab", "--a", "-6", "--b", "-5", "--cycles", "[30]"],
-        # a repeated entry in a symbol row, given as --S/--T or as --symbol
+        # a repeated entry in either symbol row
         ["symbol", "info", "--S", "0,0,1", "--T", ""],
         ["symbol", "info", "--S", "0,1,2", "--T", "1,1"],
         ["flambda", "--kind", "B", "--S", "0,1,2,2", "--T", "", "--cycles", "[2]"],
-        ["flambda", "--kind", "B", "--symbol", '{"S":[0,1,1],"T":[]}', "--cycles", "[2]"],
-        ["symbol", "info", "--symbol", '{"S":[0,1],"T":[3,3]}'],
-        ["family", "pairing-matrix", "--kind", "B", "--S", "0,1,1", "--T", ""],
+        ["flambda", "--kind", "B", "--S", "0,1,2", "--T", "1,1", "--cycles", "[2]"],
+        # one negative box side
+        ["enumerate", "pab", "2", "-1"],
+        # a cuspidal parameter d that is not positive
+        ["verify", "prop713", "--d", "0"],
+        ["verify", "prop714", "--d", "-1"],
+        # a non-integer entry in the second family row
+        ["family", "pairing-matrix", "--kind", "B", "--Z1", "0,1,2", "--Z2", "1,y"],
     ],
 )
 def test_malformed_input_exit_two(capsys, argv):
@@ -208,12 +191,12 @@ def test_malformed_input_exit_two(capsys, argv):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["symbol", "info", "--symbol", "[1,2]"],
-         '--symbol must be a JSON object {"S":[...],"T":[...]}'),
-        (["symbol", "info", "--symbol", '{"S":[0,1]}'],
-         '--symbol must be a JSON object {"S":[...],"T":[...]}'),
-        (["flambda", "--kind", "B", "--symbol", '{"S":[[0]],"T":[]}', "--cycles", "[2]"],
-         '--symbol must be a JSON object {"S":[...],"T":[...]}'),
+        (["mn", "eval", "--kind", "B", "--lambda", "[[1],[2],[3]]", "--cycles", "[2]"],
+         "--lambda must be a JSON pair of integer lists [[...],[...]], got [[1], [2], [3]]"),
+        (["mn", "eval", "--kind", "B", "--lambda", '{"a":1}', "--cycles", "[2]"],
+         "--lambda must be a JSON pair of integer lists [[...],[...]], got {'a': 1}"),
+        (["mn", "eval", "--kind", "B", "--lambda", "[[1],[true]]", "--cycles", "[1]"],
+         "--lambda must be a JSON pair of integer lists [[...],[...]], got [[1], [True]]"),
         (["mn", "eval", "--kind", "B", "--lambda", "[1,2]", "--cycles", "[2]"],
          "--lambda must be a JSON pair of integer lists [[...],[...]]"),
         (["family", "pairing-matrix", "--kind", "B", "--Z1", "0,1,x"],
@@ -316,9 +299,9 @@ def _modules_loaded_by(argv) -> set:
 
 
 def test_start_up_skips_unneeded_imports():
-    # no command keeps a disk cache, so nothing loads hashlib; csv serves
-    # only --format csv, and the two records need no dataclasses (which
-    # pulls in inspect): a plain call must load none of them
+    # no command keeps a disk cache, so nothing loads hashlib; output is
+    # JSON alone, so nothing loads csv; and the two records need no
+    # dataclasses (which pulls in inspect): a call must load none of them
     loaded = _modules_loaded_by(["verify", "prop713", "--d", "1", "--no-timing"])
     assert loaded & {"dataclasses", "inspect", "hashlib", "csv"} == set()
 
@@ -375,21 +358,50 @@ def test_top_level_help_lists_the_groups_in_table_order(capsys):
     assert "{" + ",".join(groups) + "}" in capsys.readouterr().out
 
 
-def test_output_formats(capsys):
-    base = ["mn", "eval", "--kind", "B", "--lambda", "[[1,1],[]]",
-            "--cycles", "[-2]", "--no-timing"]
-    _, plain, _ = run(capsys, base + ["--format", "plain"])
-    assert plain == 'terms  [{"halfexp":2,"num":-1,"den":1}]\n'
-    _, csv_out, _ = run(capsys, base + ["--format", "csv"])
-    assert csv_out.splitlines()[0] == "key,value"
-    assert '""halfexp""' in csv_out
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # one output form: compact JSON
+        ["mn", "eval", "--kind", "B", "--lambda", "[[1],[]]", "--cycles", "[1]",
+         "--format", "csv"],
+        # a symbol is --S/--T only
+        ["symbol", "info", "--symbol", '{"S":[0,1,2],"T":[]}'],
+        ["flambda", "--kind", "B", "--symbol", '{"S":[0,1,2],"T":[]}', "--cycles", "[-2]"],
+        # a family is --Z1 (required) and --Z2 only, not a member
+        ["family", "pairing-matrix", "--kind", "B", "--symbol", '{"S":[0,1,2],"T":[]}'],
+        ["family", "pairing-matrix", "--kind", "B", "--S", "0,1,2", "--T", ""],
+        ["family", "pairing-matrix", "--kind", "B", "--Z2", "1"],
+        # a box is the positionals A B only
+        ["enumerate", "pab", "--a", "2", "--b", "2"],
+        ["enumerate", "pab", "2", "2", "--a", "3"],
+        ["enumerate", "pab", "2"],
+    ],
+)
+def test_a_removed_spelling_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: almostchar ")
+    assert "error: " in captured.err
 
 
-def test_enumerate_pab_positional_equals_flags(capsys):
+def test_readme_command_lines_parse():
+    # every example in the README's "Command line" block is a spelling
+    # the parser takes, so the docs cannot name a removed one
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()
+             if line.startswith("almostchar ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for argv in lines:
+        assert callable(parser.parse_args(argv[1:]).func), argv
+
+
+def test_enumerate_pab(capsys):
     _, pos, _ = run(capsys, ["enumerate", "pab", "2", "2", "--no-timing"])
-    _, flags, _ = run(capsys, ["enumerate", "pab", "--a", "2", "--b", "2",
-                               "--no-timing"])
-    assert pos == flags
     assert len(json.loads(pos)) == 6
 
     _, unordered, _ = run(

@@ -365,6 +365,14 @@ def test_bipartition_json_roundtrip():
     assert x.to_json_obj() == [[2, 1], [1]]
 
 
+@pytest.mark.parametrize("obj", [[1, 2], [[1], [2], [3]], {"a": 1}, [[1], [True]]])
+def test_bipartition_from_json_refuses_a_value_that_is_not_a_pair_of_integer_lists(obj):
+    # these used to fail inside the unpacking, with a TypeError or an
+    # unpacking message that named neither the value nor the form
+    with pytest.raises(ValueError, match=r"a bipartition must be a JSON pair of integer lists"):
+        BiPartition.from_json_obj(obj)
+
+
 @settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=6))
 def test_bipartitions_of_counts(n):
