@@ -46,6 +46,7 @@ from .hecke import (
 from .shapes import BiPartition, bipartitions_of
 from .symbols import (
     Symbol,
+    _cuspidal_box,
     bipartition_from_symbol,
     check_kind,
     enumerate_P_ab,
@@ -133,16 +134,6 @@ def f_ab(a: int, b: int, cycles, config: Config = NO_LIMITS) -> HalfLaurent:
     return _weighted_trace_sum(kind, terms, br, config)
 
 
-def _cuspidal_box(kind: str, d: int) -> tuple:
-    """The rectangle (a, b) of the cuspidal symbol at d: (d+1, d) for kind
-    B, (2d, 2d) for D.  The one check of the cuspidal parameters: kind is
-    B or D and d is a positive int."""
-    check_kind(kind)
-    if check_int("d", d) < 1:
-        raise ValueError("d must be positive")
-    return (d + 1, d) if kind == "B" else (2 * d, 2 * d)
-
-
 def delta_const(kind: str, d: int) -> Fraction:
     """The constant relating f of the cuspidal symbol to the rectangle sum."""
     _cuspidal_box(kind, d)
@@ -185,44 +176,33 @@ def f_cuspidal_via_rectangles(
 # ---------------------------------------------------------------------------
 
 
-def _cuspidal_rank(kind: str, d: int) -> int:
-    """The rank of the cuspidal symbol at d: d^2+d for kind B, 4d^2 for D."""
-    a, b = _cuspidal_box(kind, d)
-    return a * b
+def _terminal_pair(a: int, b: int) -> tuple:
+    """Lemma 7.12's two plain strip lengths that take the a x b box to the
+    (a-4) x (b-4) one."""
+    return (2 * a + 2 * b - 10, 2 * a + 2 * b - 6)
+
+
+# the recipes that no terminal pair extends: of rank 0, and B d = 1, 2 /
+# D d = 1; indexed by d mod 4 (B) or d mod 2 (D)
+_RECIPE_SEEDS = {"B": ((), (-2,), (6,), ()), "D": ((), (-1, -3))}
 
 
 def prop_cycles(kind: str, d: int) -> tuple:
-    """The nonvanishing witness cycle type for the cuspidal symbol at d.
+    """The nonvanishing witness cycle type for the cuspidal symbol at d,
+    built by lemma 7.12's recursion: a seed, then the terminal pair of
+    each cuspidal box from the smallest past the seed up to d's.
 
-    Kind B (rank d^2+d): seeds [-2] / [6] / [4,8] / [8,12] by d mod 4,
-    extended by pairs 16 apart, terminal length 4d-4.  Kind D (rank
-    4d^2): seeds [-1,-3] (d odd) / [6,10] (d even) extended the same way,
-    terminal lengths 8d-10, 8d-6.
+    A step shrinks the box (a, b) to (a-4, b-4), so d steps by 4 for kind
+    B (box (d+1, d)) and by 2 for kind D (box (2d, 2d)); a box with b <= 2
+    is a seed's.  For example B d = 7 is [4,8,20,24], D d = 3 [-1,-3,14,18].
     """
-    n = _cuspidal_rank(kind, d)
-    if kind == "B":
-        r = d % 4
-        if r == 1:
-            k = (d - 1) // 4
-            out = [-2] + [x for j in range(k) for x in (12 + 16 * j, 16 + 16 * j)]
-        elif r == 2:
-            k = (d - 2) // 4
-            out = [6] + [x for j in range(k) for x in (16 + 16 * j, 20 + 16 * j)]
-        elif r == 3:
-            k = (d - 3) // 4
-            out = [x for j in range(k + 1) for x in (4 + 16 * j, 8 + 16 * j)]
-        else:
-            k = d // 4 - 1
-            out = [x for j in range(k + 1) for x in (8 + 16 * j, 12 + 16 * j)]
-    else:
-        if d % 2 == 1:
-            k = (d - 1) // 2
-            out = [-1, -3] + [x for j in range(k) for x in (14 + 16 * j, 18 + 16 * j)]
-        else:
-            k = d // 2
-            out = [x for j in range(k) for x in (6 + 16 * j, 10 + 16 * j)]
-    assert sum(abs(c) for c in out) == n, (kind, d, out)
-    return tuple(out)
+    a, b = _cuspidal_box(kind, d)
+    pairs = ()
+    while b > 2:
+        pairs = _terminal_pair(a, b) + pairs
+        a, b = a - 4, b - 4
+    seeds = _RECIPE_SEEDS[kind]
+    return seeds[d % len(seeds)] + pairs
 
 
 _D_TERMINAL_NOTE = (
@@ -238,7 +218,8 @@ _D_TERMINAL_NOTE = (
 
 def verify_nonvanishing(kind: str, d: int, config: Config = NO_LIMITS) -> VerificationReport:
     t0 = time.monotonic()
-    config.check_rank(_cuspidal_rank(kind, d))  # before the recipe, which grows with d
+    a, b = _cuspidal_box(kind, d)
+    config.check_rank(a * b)  # before the recipe, which grows with d
     cycles = prop_cycles(kind, d)
     cuspidal, _ = special_cuspidal(kind, d)
     value = f_lambda(kind, cuspidal, cycles, config)
@@ -271,7 +252,7 @@ def recursion_check(a: int, b: int, cycles, config: Config = NO_LIMITS) -> Verif
     cyc = br_from_cycles("B", cycles).cycles
     if len(cyc) < 2:
         raise ValueError("need at least the two terminal strip cycles")
-    want = (2 * a + 2 * b - 10, 2 * a + 2 * b - 6)
+    want = _terminal_pair(a, b)
     if cyc[-2:] != want:
         raise ValueError(f"terminal cycles must be {list(want)}, got {list(cyc[-2:])}")
     head = cyc[:-2]

@@ -111,18 +111,10 @@ def _cmd_family_list(args, config):
     return 0, [fam.to_json_obj() for fam in fams]
 
 
-def _family_key(args):
-    rows = _parse_row(args.Z1, "--Z1"), _parse_row(args.Z2, "--Z2")
-    for flag, row in zip(("--Z1", "--Z2"), rows):
-        if any(x < 0 for x in row):
-            raise ValueError(f"{flag} has a negative entry: {','.join(map(str, row))}")
-    return tuple(rows[0]), tuple(rows[1])
-
-
 def _cmd_family_pairing_matrix(args, config):
     from .halflaurent import frac_str
     from .symbols import family_members, pairing, rank_defect, symbol_from_label
-    z1, z2 = _family_key(args)
+    z1, z2 = tuple(_parse_row(args.Z1, "--Z1")), tuple(_parse_row(args.Z2, "--Z2"))
     config.check_rank(rank_defect(symbol_from_label(z1, z2, ()))[0])
     members = family_members(args.kind, z1, z2)
     matrix = [

@@ -50,7 +50,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .config import check_int
 from .halflaurent import HalfLaurent, ONE, U, ZERO, _from_clean, half_power
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "conjugate",
     "partitions_of",
     "bipartitions_of",
-    "partitions_in_box",
     "delta",
     "delta_bar",
     "broken_strip_removals",
@@ -169,28 +167,6 @@ def bipartitions_of(n: int) -> Iterator[BiPartition]:
         for a in partitions_of(k):
             for b in partitions_of(n - k):
                 yield BiPartition(a, b)
-
-
-def partitions_in_box(rows: int, cols: int) -> tuple[Partition, ...]:
-    """All partitions with at most `rows` parts, each at most `cols`.
-
-    Ordered by (size, lexicographic).  The one user downstream is
-    `symbols.enumerate_P_ab`, which walks this box to build the rectangle
-    pairs P(a, b).  Filled row by row under the previous part, so only
-    partitions that fit are ever built.  A side that is negative, or not
-    an int (a bool included), raises ValueError.
-    """
-    if check_int("rows", rows) < 0 or check_int("cols", cols) < 0:
-        raise ValueError("box dimensions must be nonnegative")
-
-    def fill(rows_left: int, bound: int) -> Iterator[Partition]:
-        yield ()
-        if rows_left:
-            for first in range(1, bound + 1):
-                for rest in fill(rows_left - 1, first):
-                    yield (first,) + rest
-
-    return tuple(sorted(fill(rows, cols), key=lambda p: (sum(p), p)))
 
 
 # ---------------------------------------------------------------------------

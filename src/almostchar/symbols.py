@@ -38,7 +38,6 @@ from .shapes import (
     check_kind,
     conjugate,
     partition,
-    partitions_in_box,
 )
 
 __all__ = [
@@ -83,15 +82,21 @@ def _order_rows(a: tuple, b: tuple) -> tuple:
     return b, a
 
 
+def _entries(row) -> tuple:
+    """The entries of a symbol row, refusing any that is not a nonnegative
+    int (a bool included)."""
+    row = tuple(row)
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in row):
+        raise ValueError(f"symbol entries must be integers: {row!r}")
+    if any(x < 0 for x in row):
+        raise ValueError(f"symbol entries must be nonnegative: {row!r}")
+    return row
+
+
 def shift_canonicalize(rawS, rawT) -> Symbol:
     """Canonical reduced representative of the shift class of (rawS, rawT)."""
-    rawS, rawT = tuple(rawS), tuple(rawT)
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in rawS + rawT):
-        raise ValueError(f"symbol entries must be integers: {rawS!r}, {rawT!r}")
-    s = tuple(sorted(set(rawS)))
-    t = tuple(sorted(set(rawT)))
-    if (s and s[0] < 0) or (t and t[0] < 0):
-        raise ValueError("entries must be nonnegative")
+    s = tuple(sorted(set(_entries(rawS))))
+    t = tuple(sorted(set(_entries(rawT))))
     while s and t and s[0] == 0 and t[0] == 0:
         s = tuple(x - 1 for x in s[1:])
         t = tuple(x - 1 for x in t[1:])
@@ -192,7 +197,7 @@ def family_decompose(s: Symbol, kind: str) -> FamilyDecomposition:
 
 
 def symbol_from_label(Z1, Z2, M) -> Symbol:
-    z1, z2, m = set(Z1), set(Z2), set(M)
+    z1, z2, m = (set(_entries(row)) for row in (Z1, Z2, M))
     if not m <= z1:
         raise ValueError(f"label {M} not a subset of the singles {Z1}")
     if z1 & z2:
@@ -306,12 +311,9 @@ def enumerate_symbols(n: int, kind: str) -> tuple:
 
 def special_cuspidal(kind: str, d: int) -> tuple:
     """The cuspidal symbol of parameter d and the special symbol of its
-    family: rows {0..2d} / empty and evens / odds for kind B (rank d^2+d),
-    rows {0..4d-1} / empty and evens / odds for kind D (rank 4d^2)."""
-    check_kind(kind)
-    if check_int("d", d) < 1:
-        raise ValueError("d must be positive")
-    top = 2 * d if kind == "B" else 4 * d - 1
+    family: rows {0..a+b-1} / empty and evens / odds, (a, b) the cuspidal
+    box (top entry 2d for kind B, rank d^2+d; 4d-1 for kind D, rank 4d^2)."""
+    top = sum(_cuspidal_box(kind, d)) - 1
     cuspidal = Symbol(tuple(range(top + 1)), ())
     special = Symbol(tuple(range(0, top + 1, 2)), tuple(range(1, top + 1, 2)))
     return cuspidal, special
@@ -354,30 +356,52 @@ def bipartition_from_symbol(kind: str, s: Symbol) -> BiPartition:
 # ---------------------------------------------------------------------------
 
 
+def _cuspidal_box(kind: str, d: int) -> tuple:
+    """The rectangle (a, b) of the cuspidal symbol at d: (d+1, d) for kind
+    B, (2d, 2d) for D.  The one check of the cuspidal parameters: kind is
+    B or D and d is a positive int."""
+    check_kind(kind)
+    if check_int("d", d) < 1:
+        raise ValueError("d must be positive")
+    return (d + 1, d) if kind == "B" else (2 * d, 2 * d)
+
+
+def _box_partitions(n: int, rows: int, cols: int) -> Iterator[tuple]:
+    """Partitions of n with at most `rows` parts, each at most `cols`, in
+    descending lexicographic order."""
+    if n == 0:
+        yield ()
+    elif rows:
+        # the first part is at least n / rows, or the rest cannot fit
+        for first in range(min(n, cols), (n - 1) // rows, -1):
+            for rest in _box_partitions(n - first, rows - 1, first):
+                yield (first,) + rest
+
+
 def enumerate_P_ab(a: int, b: int, unordered: bool = False) -> list:
     """Bipartitions (alpha, beta) with alpha in an a x b box and beta the
     conjugate of the reversed complement of alpha in that box.
 
-    There is exactly one pair per box partition, C(a+b, a) in all.  With
-    unordered=True, (alpha, beta) and (beta, alpha) are identified and the
-    lexicographically larger side is kept first.
+    There is exactly one pair per box partition, C(a+b, a) in all, listed
+    by |alpha| ascending and alpha in descending lexicographic order
+    within a size.  With unordered=True each pair is given with its
+    lexicographically larger side first; in a square box, where the swap
+    of a pair is a pair too, each is kept once, where the first of its two
+    orders comes: |alpha| below half the box, or exactly half with alpha
+    the larger side.
     """
     if check_int("a", a) < 0 or check_int("b", b) < 0:
         raise ValueError("box dimensions must be nonnegative")
     out = []
-    seen = set()
-    # size ascending, then reverse-lexicographic within a size
-    for alpha in sorted(partitions_in_box(a, b), key=lambda p: (-sum(p), p), reverse=True):
-        padded = alpha + (0,) * (a - len(alpha))
-        beta = conjugate(tuple(b - x for x in reversed(padded)))
-        pair = BiPartition(alpha, beta)
-        if unordered:
-            key = frozenset((pair.alpha, pair.beta))
-            if key in seen:
-                continue
-            seen.add(key)
-            pair = BiPartition(*max(pair, tuple(reversed(pair))))
-        out.append(pair)
+    for size in range(a * b + 1):
+        for alpha in _box_partitions(size, a, b):
+            padded = alpha + (0,) * (a - len(alpha))
+            pair = BiPartition(alpha, conjugate(tuple(b - x for x in reversed(padded))))
+            if unordered:
+                if a == b and (2 * size > a * b or 2 * size == a * b and alpha < pair.beta):
+                    continue
+                pair = BiPartition(*max(pair, tuple(reversed(pair))))
+            out.append(pair)
     return out
 
 

@@ -11,6 +11,7 @@ import sys
 
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
+sys.path.insert(0, str(HERE.parent / "src"))
 
 from golden_battery import BATTERY
 

@@ -24,6 +24,7 @@ from almostchar.almost import (
     involution_check,
     m2_check,
     orthogonality_check,
+    _terminal_pair,
     prop_cycles,
     recursion_check,
     verify_nonvanishing,
@@ -39,6 +40,7 @@ from almostchar.hecke import (
 )
 from almostchar.shapes import bipartition, bipartitions_of
 from almostchar.symbols import (
+    _cuspidal_box,
     enumerate_P_ab,
     enumerate_symbols,
     pairing,
@@ -369,6 +371,36 @@ def test_b_d2_cuspidal_sums_at_rank_6_match_the_seminormal_model():
         assert eval_halflaurent(f_lambda("B", cuspidal, cycles), usq) == want, cycles
 
 
+def _signed_cycle_lists(n):
+    """Every signed cycle list of total n, a negative length being barred."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _signed_cycle_lists(n - first):
+            yield (first,) + rest
+            yield (-first,) + rest
+
+
+@pytest.mark.parametrize("d, lists, nonzero", [(1, 6, 3), (2, 486, 176)])
+def test_b_cuspidal_sum_is_zero_on_every_list_that_ends_in_a_plain_cycle(d, lists, nonzero):
+    # a plain last cycle leaves one generator out of the word of T_Br, so
+    # T_Br lies in a proper parabolic subalgebra, where a cuspidal family
+    # sum restricts to zero; a barred last cycle proves nothing either way
+    cuspidal = special_cuspidal("B", d)[0]
+    ends_plain = ends_barred = barred_nonzero = 0
+    for cycles in _signed_cycle_lists(d * d + d):
+        value = f_lambda("B", cuspidal, cycles)
+        assert f_cuspidal_via_rectangles("B", d, cycles) == value, cycles
+        if cycles[-1] > 0:
+            ends_plain += 1
+            assert value.is_zero(), cycles
+        else:
+            ends_barred += 1
+            barred_nonzero += not value.is_zero()
+    assert (ends_plain, ends_barred, barred_nonzero) == (lists // 2, lists // 2, nonzero)
+
+
 # -- claim-specific cycle lists ---------------------------------------------------
 
 
@@ -387,6 +419,47 @@ def test_prop_cycles_totals():
     for d in range(1, 9):
         assert sum(abs(c) for c in prop_cycles("B", d)) == d * d + d
         assert sum(abs(c) for c in prop_cycles("D", d)) == 4 * d * d
+
+
+def _residue_prop_cycles(kind, d):
+    """The recipes as first written, one branch per residue of d: kind B
+    seeds [-2] / [6] / [4,8] / [8,12] by d mod 4 and kind D seeds [-1,-3]
+    / [6,10] by d mod 2, each extended by pairs 16 apart."""
+    if kind == "B":
+        r = d % 4
+        if r == 1:
+            k = (d - 1) // 4
+            out = [-2] + [x for j in range(k) for x in (12 + 16 * j, 16 + 16 * j)]
+        elif r == 2:
+            k = (d - 2) // 4
+            out = [6] + [x for j in range(k) for x in (16 + 16 * j, 20 + 16 * j)]
+        elif r == 3:
+            k = (d - 3) // 4
+            out = [x for j in range(k + 1) for x in (4 + 16 * j, 8 + 16 * j)]
+        else:
+            k = d // 4 - 1
+            out = [x for j in range(k + 1) for x in (8 + 16 * j, 12 + 16 * j)]
+    elif d % 2 == 1:
+        k = (d - 1) // 2
+        out = [-1, -3] + [x for j in range(k) for x in (14 + 16 * j, 18 + 16 * j)]
+    else:
+        k = d // 2
+        out = [x for j in range(k) for x in (6 + 16 * j, 10 + 16 * j)]
+    return tuple(out)
+
+
+def test_prop_cycles_match_the_per_residue_recipes():
+    for d in range(1, 201):
+        assert prop_cycles("B", d) == _residue_prop_cycles("B", d), d
+        assert prop_cycles("D", d) == _residue_prop_cycles("D", d), d
+
+
+def test_every_recipe_past_its_seed_ends_in_the_terminal_pair_of_its_box():
+    for kind, first in (("B", 3), ("D", 2)):
+        for d in range(first, 41):
+            terminal = prop_cycles(kind, d)[-2:]
+            assert terminal == _terminal_pair(*_cuspidal_box(kind, d)), (kind, d)
+            assert min(terminal) > 0, (kind, d)
 
 
 # -- verification reports ----------------------------------------------------------

@@ -276,6 +276,19 @@ def test_orthogonality_memo_budget_exit_three():
     assert "Traceback" not in proc.stderr
 
 
+def test_golden_refresh_script_finds_the_package_in_a_plain_checkout(tmp_path):
+    # README runs it as `python3 tests/regen_golden.py`, with no PYTHONPATH;
+    # loaded under another name than __main__ it imports and writes nothing
+    script = Path(__file__).resolve().parent / "regen_golden.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import runpy; runpy.run_path({str(script)!r})"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+
+
 def _modules_loaded_by(argv) -> set:
     """The modules that importing the CLI and running `argv` load, in a
     fresh interpreter; the call must exit 0."""

@@ -343,16 +343,6 @@ def test_trace_cache_undecodable_entry_is_a_miss(tmp_path, text):
     assert cache.get("B", lam, br) == want
 
 
-def _signed_compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _signed_compositions(n - first):
-            yield (first,) + rest
-            yield (-first,) + rest
-
-
 def test_traces_have_int_coefficients(tmp_path):
     # traces lie in Z[u^(1/2), u^(-1/2)]: no coefficient may be a Fraction,
     # neither when computed nor when read back from the disk cache
@@ -372,6 +362,36 @@ def test_traces_have_int_coefficients(tmp_path):
                 cached = cache.get(kind, lam, br)
                 assert cached == value
                 assert all(type(c) is int for c in cached.terms.values()), (kind, cycles, lam)
+
+
+def _durfee(p):
+    """The side of the largest square in the diagram of p."""
+    return sum(1 for i, part in enumerate(p) if part > i)
+
+
+def test_chain_sum_is_zero_where_the_durfee_sizes_outrun_the_steps():
+    # a 2x2-free strip holds at most one cell per diagonal, so a step lowers
+    # a component's Durfee size by at most 1: a barred step touches one
+    # component and a plain one at most both.  With p plain and q barred
+    # steps among the first k, chain_sum(outer, k) is therefore 0 when
+    # durfee(alpha) + durfee(beta) > 2p + q or either Durfee size exceeds k
+    elements = [("B", c) for n in range(1, 8) for c in class_reps(n)]
+    elements += [("D", c) for n in range(1, 8) for c in valid_d_cycle_lists(n)]
+    entries = fired = 0
+    for kind, cycles in elements:
+        context = MNContext(br_from_cycles(kind, cycles))
+        for k in range(len(context.steps) + 1):
+            head = context.steps[:k]
+            plain = sum(1 for _, bar_kind in head if bar_kind is None)
+            bound = 2 * plain + (k - plain)
+            for outer in bipartitions_of(sum(size for size, _ in head)):
+                value = context.chain_sum(outer, k)
+                entries += 1
+                da, db = _durfee(outer.alpha), _durfee(outer.beta)
+                if da + db > bound or max(da, db) > k:
+                    fired += 1
+                    assert value.is_zero(), (kind, cycles, outer, k)
+    assert (len(elements), entries, fired) == (337, 35886, 802)
 
 
 # -- the summing engine as the oracle of the fused one ---------------------------

@@ -23,7 +23,6 @@ from almostchar.shapes import (
     delta,
     delta_bar,
     partition,
-    partitions_in_box,
     partitions_of,
     single_strip_removals,
     skew,
@@ -343,20 +342,6 @@ def test_delta_nonzero_iff_broken_border_strip():
 
 def test_skew_cells_are_row_major():
     assert skew_cells((3, 1), (1,)) == [(1, 2), (1, 3), (2, 1)]
-
-
-def test_partitions_in_box_count_and_order():
-    box = partitions_in_box(2, 2)
-    assert box == ((), (1,), (1, 1), (2,), (2, 1), (2, 2))
-    assert len(partitions_in_box(3, 2)) == 10
-
-
-@pytest.mark.parametrize("rows, cols", [(-1, 2), (2, -1), (True, 2), (2, False), (2.0, 2)])
-def test_partitions_in_box_refuses_a_side_that_is_not_a_count(rows, cols):
-    # a negative side used to recurse until RecursionError, and a bool
-    # side used to be read as 1 or 0
-    with pytest.raises(ValueError):
-        partitions_in_box(rows, cols)
 
 
 def test_bipartition_json_roundtrip():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from almostchar.shapes import bipartition, bipartitions_of, partitions_of
+from almostchar.shapes import bipartition, bipartitions_of, conjugate, partitions_of
 from almostchar.symbols import (
     Family,
     Symbol,
@@ -151,6 +151,21 @@ def test_symbol_from_label_roundtrip():
     assert rebuilt == sym([0, 2], [1])
     with pytest.raises(ValueError):
         symbol_from_label((0, 1, 2), (), (3,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: family_members("B", (-1, 0, 1), ()),
+        lambda: family_members("B", (0, 1, 2), (1.5,)),
+        lambda: symbol_from_label((0, 2, 3), (True,), ()),
+    ],
+    ids=["negative-single", "float-double", "bool-double"],
+)
+def test_a_family_label_refuses_the_entries_shift_canonicalize_refuses(call):
+    # these used to build symbols of rank -1, holding 1.5, or holding True
+    with pytest.raises(ValueError, match="symbol entries must be"):
+        call()
 
 
 def test_involution_on_small_families():
@@ -380,6 +395,55 @@ def test_enumerate_p_edge_cases():
     assert got == {((), (2,)), ((1,), (1,)), ((1, 1), ())}
     with pytest.raises(ValueError):
         enumerate_P_ab(-1, 2)
+
+
+def test_enumerate_p_box_count_and_order():
+    # the alphas come by size, then in descending lexicographic order
+    assert [bp.alpha for bp in enumerate_P_ab(2, 2)] == [
+        (), (1,), (2,), (1, 1), (2, 1), (2, 2)]
+    assert len(enumerate_P_ab(3, 2)) == 10
+
+
+@pytest.mark.parametrize("a, b", [(-1, 2), (2, -1), (True, 2), (2, False), (2.0, 2)])
+def test_enumerate_p_refuses_a_side_that_is_not_a_count(a, b):
+    # a bool side would otherwise be read as 1 or 0
+    with pytest.raises(ValueError):
+        enumerate_P_ab(a, b)
+
+
+def _sorted_box_P_ab(a, b, unordered=False):
+    """The rectangle pairs as they were first built: every box partition,
+    sorted by size and then in descending lexicographic order, with a
+    seen-set of unordered pairs."""
+
+    def fill(rows_left, bound):
+        yield ()
+        if rows_left:
+            for first in range(1, bound + 1):
+                for rest in fill(rows_left - 1, first):
+                    yield (first,) + rest
+
+    out, seen = [], set()
+    for alpha in sorted(fill(a, b), key=lambda p: (-sum(p), p), reverse=True):
+        padded = alpha + (0,) * (a - len(alpha))
+        pair = bipartition(alpha, conjugate(tuple(b - x for x in reversed(padded))))
+        if unordered:
+            key = frozenset(pair)
+            if key in seen:
+                continue
+            seen.add(key)
+            pair = type(pair)(*max(pair, tuple(reversed(pair))))
+        out.append(pair)
+    return out
+
+
+def test_enumerate_p_matches_the_sorted_box():
+    for a in range(9):
+        for b in range(9):
+            assert enumerate_P_ab(a, b) == _sorted_box_P_ab(a, b), (a, b)
+            if a == b or a + b <= 8:
+                got = enumerate_P_ab(a, b, unordered=True)
+                assert got == _sorted_box_P_ab(a, b, unordered=True), (a, b)
 
 
 def test_enumerate_p_counts():
