@@ -31,12 +31,13 @@ import time
 from fractions import Fraction
 from operator import mul
 
-from .config import NO_LIMITS, Config, check_int
-from .halflaurent import ZERO, HalfLaurent, frac_str, hl_exact_div
+from .config import NO_LIMITS, Config, ResourceGuardError, check_int
+from .halflaurent import HalfLaurent, _from_clean, frac_str, hl_exact_div
 from .hecke import (
     BrSequence,
     MNContext,
     VerificationReport,
+    _check_lambda,
     _elapsed_ms,
     br_from_cycles,
     mn_trace,
@@ -46,6 +47,7 @@ from .hecke import (
 from .shapes import BiPartition, bipartitions_of
 from .symbols import (
     Symbol,
+    _box_partner,
     _cuspidal_box,
     bipartition_from_symbol,
     check_kind,
@@ -83,14 +85,25 @@ __all__ = [
 
 
 def _weighted_trace_sum(kind, terms, br: BrSequence, config) -> HalfLaurent:
-    """Sum of coeff * trace over (coeff, bipartition) terms, in list order,
-    with every trace drawn through one shared memo context."""
+    """Sum of coeff * trace over (coeff, bipartition) terms, in one pass
+    through one memo context: the kind, element and rank are checked once,
+    each bipartition as mn_trace checks it, and each coeff * chain sum is
+    added into one dict, which takes the context's prefactor once."""
+    check_kind(kind)
+    if br.kind != kind:
+        raise ValueError(f"element is kind {br.kind}, asked for {kind}")
+    config.check_rank(br.n)
     context = MNContext(br, config)
-    total = ZERO
-    for coeff, bp in terms:
-        trace = mn_trace(kind, bp, br, context=context)
-        total = total + coeff * trace
-    return total
+    k = len(context.steps)
+    acc: dict = {}
+    try:
+        for coeff, bp in terms:
+            _check_lambda(kind, bp, br)
+            for e, c in context.chain_sum(bp, k)._terms.items():
+                acc[e] = acc.get(e, 0) + coeff * c
+    except RecursionError:
+        raise ResourceGuardError(f"{k} cycles exceed the interpreter's recursion limit") from None
+    return context.prefactor * _from_clean({e: c for e, c in acc.items() if c})
 
 
 def f_lambda(kind: str, s: Symbol, cycles, config: Config = NO_LIMITS) -> HalfLaurent:
@@ -126,11 +139,7 @@ def f_ab(a: int, b: int, cycles, config: Config = NO_LIMITS) -> HalfLaurent:
     if br.n != a * b:
         raise ValueError(f"cycle total {br.n} != box size {a * b}")
     config.check_rank(a * b)
-    terms = []
-    for bp in enumerate_P_ab(a, b, unordered=(kind == "D")):
-        if kind == "D" and bp.alpha == bp.beta:
-            raise ValueError(f"square-box index set produced equal components {bp}")
-        terms.append(((-1) ** sum(bp.alpha), bp))
+    terms = [((-1) ** sum(bp.alpha), bp) for bp in enumerate_P_ab(a, b, unordered=(kind == "D"))]
     return _weighted_trace_sum(kind, terms, br, config)
 
 
@@ -150,17 +159,19 @@ def cuspidal_index_set(kind: str, d: int) -> list:
 def cuspidal_pair_sign(kind: str, d: int, bp: BiPartition) -> Fraction:
     """Closed-form pairing of the cuspidal symbol with the member at bp.
 
-    Validates that bp belongs to the rectangle index set first (for the
-    square box, up to component order).
+    Validates first that bp belongs to the rectangle index set (for the
+    square box, up to component order): alpha is a partition that fits
+    the box and beta is its box partner.  In the square box the partner
+    of beta is alpha, so either component order passes.
     """
-    members = cuspidal_index_set(kind, d)
-    if kind == "B":
-        ok = bp in members
-    else:
-        ok = BiPartition(*max(tuple(bp), tuple(reversed(bp)))) in members
-    if not ok:
+    a, b = _cuspidal_box(kind, d)
+    alpha, beta = bp
+    fits = (type(alpha) is tuple and len(alpha) <= a
+            and all(type(x) is int and 0 < x <= b for x in alpha)
+            and list(alpha) == sorted(alpha, reverse=True))
+    if not (fits and beta == _box_partner(alpha, a, b)):
         raise ValueError(f"{bp} is not in the cuspidal index set for kind {kind}, d={d}")
-    return (-1) ** sum(bp.alpha) * delta_const(kind, d)
+    return (-1) ** sum(alpha) * delta_const(kind, d)
 
 
 def f_cuspidal_via_rectangles(

@@ -22,6 +22,15 @@ yield them.  No factor is zero: the enumerators yield only shapes with no
 and for a barred step only connected strips, whose delta_bar is one
 +-monomial.
 
+Such a strip holds at most one cell per diagonal, so a step lowers a
+component's Durfee size (the side of its largest square) by at most 1: a
+barred step touches one component, a plain one at most both.  With p
+plain steps among the first k, a partial sum is therefore zero when the
+two Durfee sizes add up to more than k + p or either exceeds k, and the
+context returns it as zero before enumerating a strip.  The entries of
+the whole element (all segments remaining) are not stored: a sweep asks
+for each bipartition once.
+
 Kind D accepts only two barred patterns: no bars at all, or a leading
 [-1, -c, ...] pair followed by plain cycles; and its traces are defined
 here only for bipartitions with distinct components.
@@ -158,6 +167,16 @@ def _steps(br: BrSequence) -> tuple:
     return tuple((abs(c), br.kind if c < 0 else None) for c in br.cycles)
 
 
+def _durfee(p: tuple) -> int:
+    """The side of the largest square in the diagram of the partition p."""
+    d = 0
+    for part in p:
+        if part <= d:
+            break
+        d += 1
+    return d
+
+
 class MNContext:
     """Memoized chain summation for one element br.
 
@@ -166,6 +185,10 @@ class MNContext:
     config's memo_budget (none by default) is a loose cap on the entries
     its memo stores; going past it raises ResourceGuardError instead of
     thrashing.  steps holds _steps(br), the (size, bar_kind) of each cycle.
+    durfee_caps[k] is k plus the number of plain steps among the first k:
+    chain_sum(outer, k) is zero, by the Durfee bound of the module
+    docstring, when the Durfee sizes of outer's components add up to more,
+    or either exceeds k.  The memo never holds an entry at k = len(steps).
     """
 
     def __init__(self, br: BrSequence, config: Config = NO_LIMITS):
@@ -174,19 +197,26 @@ class MNContext:
         self.prefactor = half_power(l_prime(br))
         self.memo_budget = config.memo_budget
         self._memo: dict = {}
+        caps = [0]
+        for _, bar_kind in self.steps:
+            caps.append(caps[-1] + (2 if bar_kind is None else 1))
+        self.durfee_caps = tuple(caps)
 
     def chain_sum(self, outer: BiPartition, k: int) -> HalfLaurent:
         """Sum over the strip removals of the first k segments from outer,
-        zero unless |outer| is their size.  Each memo entry accumulates
-        factor * sub over its step's enumerator (broken strips when plain,
-        single strips when barred) in one dict and becomes one
-        HalfLaurent."""
+        zero unless |outer| is their size, and zero at once where the
+        Durfee caps rule it out.  Each memo entry accumulates factor * sub
+        over its step's enumerator (broken strips when plain, single strips
+        when barred) in one dict and becomes one HalfLaurent."""
         if k == 0:
             return ZERO if outer.alpha or outer.beta else ONE
         key = (outer, k)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
+        da, db = _durfee(outer.alpha), _durfee(outer.beta)
+        if da > k or db > k or da + db > self.durfee_caps[k]:
+            return ZERO
         size, bar_kind = self.steps[k - 1]
         if bar_kind is None:
             removals = broken_strip_removals(outer, size)
@@ -198,6 +228,8 @@ class MNContext:
                 for k1, c1 in factor._terms.items():
                     acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
         total = _from_clean({e: c for e, c in acc.items() if c})
+        if k == len(self.steps):
+            return total
         if len(self._memo) >= self.memo_budget:
             raise ResourceGuardError(
                 f"memo budget {self.memo_budget} exhausted at rank {self.br.n}"
@@ -238,6 +270,21 @@ def _traces_at_one(br: BrSequence, bps, tables: dict, config: Config) -> list:
     return [chain(bp, len(steps)) for bp in bps]
 
 
+def _check_lambda(kind: str, lam: BiPartition, br: BrSequence) -> None:
+    """ValueError unless lam is a bipartition that the trace of br of this
+    kind is defined on: two partitions (tuples of positive ints, weakly
+    decreasing) of total size br.n, distinct for kind D.  Checked once per
+    bipartition, so chain_sum can trust every outer."""
+    for side in lam:
+        if not (type(side) is tuple and all(type(x) is int for x in side)
+                and (not side or side[-1] > 0) and sorted(side, reverse=True) == list(side)):
+            raise ValueError(f"{side!r} in {lam} is not a partition")
+    if lam.size != br.n:
+        raise ValueError(f"|lambda| = {lam.size} but the element moves {br.n} points")
+    if kind == "D" and lam.alpha == lam.beta:
+        raise ValueError(f"kind D trace undefined for equal components {lam}")
+
+
 def mn_trace(
     kind: str,
     lam: BiPartition,
@@ -260,14 +307,7 @@ def mn_trace(
     check_kind(kind)
     if br.kind != kind:
         raise ValueError(f"element is kind {br.kind}, asked for {kind}")
-    for side in lam:  # checked once here, so chain_sum can trust every outer
-        if not (type(side) is tuple and all(type(x) is int for x in side)
-                and (not side or side[-1] > 0) and sorted(side, reverse=True) == list(side)):
-            raise ValueError(f"{side!r} in {lam} is not a partition")
-    if lam.size != br.n:
-        raise ValueError(f"|lambda| = {lam.size} but the element moves {br.n} points")
-    if kind == "D" and lam.alpha == lam.beta:
-        raise ValueError(f"kind D trace undefined for equal components {lam}")
+    _check_lambda(kind, lam, br)
     config.check_rank(br.n)
     if context is not None and context.br is not br and context.br != br:
         raise ValueError(f"context is for {context.br.cycles}, not {br.cycles}")

@@ -378,27 +378,36 @@ def _box_partitions(n: int, rows: int, cols: int) -> Iterator[tuple]:
                 yield (first,) + rest
 
 
+def _box_partner(alpha: tuple, a: int, b: int) -> tuple:
+    """The partner of the partition alpha in the a x b box: the conjugate
+    of alpha's reversed complement there.  In a square box the partner of
+    the partner is alpha again."""
+    padded = alpha + (0,) * (a - len(alpha))
+    return conjugate(tuple(b - x for x in reversed(padded)))
+
+
 def enumerate_P_ab(a: int, b: int, unordered: bool = False) -> list:
-    """Bipartitions (alpha, beta) with alpha in an a x b box and beta the
-    conjugate of the reversed complement of alpha in that box.
+    """Bipartitions (alpha, beta) with alpha in an a x b box and beta its
+    box partner, _box_partner(alpha, a, b).
 
     There is exactly one pair per box partition, C(a+b, a) in all, listed
     by |alpha| ascending and alpha in descending lexicographic order
-    within a size.  With unordered=True each pair is given with its
-    lexicographically larger side first; in a square box, where the swap
-    of a pair is a pair too, each is kept once, where the first of its two
-    orders comes: |alpha| below half the box, or exactly half with alpha
-    the larger side.
+    within a size.  unordered=True asks for a square box, where the swap
+    of a pair is a pair too (ValueError otherwise): each pair is kept
+    once, with its lexicographically larger side first, where the first
+    of its two orders comes: |alpha| below half the box, or exactly half
+    with alpha the larger side.
     """
     if check_int("a", a) < 0 or check_int("b", b) < 0:
         raise ValueError("box dimensions must be nonnegative")
+    if unordered and a != b:
+        raise ValueError(f"unordered pairs need a square box, not {a} x {b}")
     out = []
     for size in range(a * b + 1):
         for alpha in _box_partitions(size, a, b):
-            padded = alpha + (0,) * (a - len(alpha))
-            pair = BiPartition(alpha, conjugate(tuple(b - x for x in reversed(padded))))
+            pair = BiPartition(alpha, _box_partner(alpha, a, b))
             if unordered:
-                if a == b and (2 * size > a * b or 2 * size == a * b and alpha < pair.beta):
+                if 2 * size > a * b or 2 * size == a * b and alpha < pair.beta:
                     continue
                 pair = BiPartition(*max(pair, tuple(reversed(pair))))
             out.append(pair)

@@ -2,6 +2,8 @@
 reports built on top of them."""
 
 import ast
+import inspect
+import sys
 import threading
 from fractions import Fraction
 from pathlib import Path
@@ -119,6 +121,27 @@ def test_cuspidal_pair_sign_examples():
         cuspidal_pair_sign("B", 1, bp([2], []))
 
 
+@pytest.mark.parametrize("kind, d", [("B", 1), ("B", 2), ("B", 3), ("D", 1), ("D", 2)])
+def test_cuspidal_pair_sign_tests_membership_as_the_index_set_does(kind, d):
+    # the closed-form membership test against a search of the index set,
+    # on every bipartition of the box's rank, in both component orders
+    members = cuspidal_index_set(kind, d)
+    a, b = _cuspidal_box(kind, d)
+    found = 0
+    for lam in bipartitions_of(a * b):
+        if kind == "B":
+            listed = lam in members
+        else:
+            listed = shapes_module.BiPartition(*max(tuple(lam), tuple(reversed(lam)))) in members
+        if listed:
+            found += 1
+            assert cuspidal_pair_sign(kind, d, lam) == (-1) ** sum(lam.alpha) * delta_const(kind, d)
+        else:
+            with pytest.raises(ValueError, match="not in the cuspidal index set"):
+                cuspidal_pair_sign(kind, d, lam)
+    assert found == (1 if kind == "B" else 2) * len(members)
+
+
 def test_cuspidal_pair_sign_equals_direct_pairing():
     # closed form vs. actually pairing the cuspidal symbol with each member
     for kind, ds in (("B", (1, 2)), ("D", (1,))):
@@ -201,6 +224,110 @@ def test_f_ab_examples():
     assert f_ab(2, 1, [2]) == ZERO
     assert f_ab(0, 0, []) == hl([(0, 1)])
     assert f_ab(2, 2, [-1, -3]) == hl([(3, -2)])  # square box goes through kind D
+
+
+def test_f_ab_is_the_signed_sum_of_its_traces():
+    # the one-pass sum against the per-trace path, on every box of rank
+    # <= 12, each with about ten of its classes (B) or admissible lists (D)
+    # at an even stride
+    elements = 0
+    for a in range(13):
+        for b in range(13):
+            n = a * b
+            if n > 12:
+                continue
+            kind = "D" if a == b and a > 0 else "B"
+            lists = (class_reps(n) if kind == "B" else valid_d_cycle_lists(n)) if n else [()]
+            pairs = enumerate_P_ab(a, b, unordered=kind == "D")
+            for cycles in lists[:: max(1, len(lists) // 10)]:
+                br = br_from_cycles(kind, cycles)
+                context = MNContext(br)
+                want = ZERO
+                for pair in pairs:
+                    want = want + (-1) ** sum(pair.alpha) * mn_trace(kind, pair, br, context=context)
+                assert f_ab(a, b, cycles) == want, (a, b, cycles)
+                elements += 1
+    assert elements == 380
+
+
+def test_f_lambda_is_the_weighted_sum_of_its_traces():
+    # every B class up to rank 6 against one member of every family
+    sums = 0
+    for n in range(1, 7):
+        for fam in enumerate_symbols(n, "B"):
+            s = fam.members[0]
+            dec = symbols_module.family_decompose(s, "B")
+            terms = [
+                (symbols_module.fourier_sign(dec, symbols_module.family_decompose(m, "B")),
+                 symbols_module.bipartition_from_symbol("B", m))
+                for m in symbols_module.family_members("B", dec.Z1, dec.Z2)
+                if symbols_module.rank_defect(m)[1] == 1
+            ]
+            for cycles in class_reps(n):
+                br = br_from_cycles("B", cycles)
+                want = ZERO
+                for sign, lam in terms:
+                    want = want + sign * mn_trace("B", lam, br)
+                assert f_lambda("B", s, cycles) == Fraction(1, 2 ** dec.f) * want, (s, cycles)
+                sums += 1
+    assert sums == 2545
+
+
+@pytest.mark.parametrize(
+    "kind, lam, cycles",
+    [
+        ("B", bp([1], [1]), [-1, 2]),  # wrong size
+        ("B", shapes_module.BiPartition((1, 2), ()), [3]),  # not a partition
+        ("B", shapes_module.BiPartition((2, 0), (1,)), [3]),  # a zero part
+        ("B", shapes_module.BiPartition([2], (1,)), [3]),  # not a tuple
+        ("D", bp([1], [1]), [-1, -1]),  # equal components
+    ],
+)
+def test_fused_sum_refuses_a_bipartition_as_mn_trace_does(kind, lam, cycles):
+    br = br_from_cycles(kind, cycles)
+    with pytest.raises(ValueError) as per_trace:
+        mn_trace(kind, lam, br)
+    with pytest.raises(ValueError) as fused:
+        almost_module._weighted_trace_sum(kind, [(1, lam)], br, Config())
+    assert str(fused.value) == str(per_trace.value)
+
+
+def test_fused_sum_turns_deep_recursion_into_a_resource_guard():
+    # one chain level per cycle, as in mn_trace: past the interpreter's
+    # recursion limit (lowered here, so that the chains stay short) both
+    # raise the same ResourceGuardError
+    n = 300
+    cycles = [1] * n
+    config = Config(max_rank=n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + n // 2)
+    try:
+        with pytest.raises(ResourceGuardError) as per_trace:
+            mn_trace("B", bp([], [1] * n), br_from_cycles("B", cycles), config=config)
+        with pytest.raises(ResourceGuardError) as fused:
+            f_ab(1, n, cycles, config)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert str(fused.value) == str(per_trace.value) == f"{n} cycles exceed the interpreter's recursion limit"
+
+
+def test_r30_memo_holds_the_inner_entries_only(monkeypatch):
+    # f_ab over P(6, 5) through one context; the element's own level is
+    # never stored, and the Durfee bound keeps the pruned entries out too
+    contexts = []
+
+    class Recorded(MNContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(self)
+
+    monkeypatch.setattr(almost_module, "MNContext", Recorded)
+    f_ab(6, 5, [-2, 12, 16], Config(max_rank=30))
+    (context,) = contexts
+    assert len(context._memo) == 148
+    assert all(k < 3 for _, k in context._memo)
+    assert sum(1 for pair in enumerate_P_ab(6, 5) if context.chain_sum(pair, 3)) == 72
+    assert len(context._memo) == 148
 
 
 def test_family_sums_start_no_thread(monkeypatch):

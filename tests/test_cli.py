@@ -422,6 +422,10 @@ def test_enumerate_pab(capsys):
     )
     assert json.loads(unordered) == [[[2, 2], []], [[2, 1], [1]], [[2], [1, 1]]]
 
+    code, out, err = run(capsys, ["enumerate", "pab", "3", "2", "--unordered", "--no-timing"])
+    assert (code, out) == (2, "")
+    assert "need a square box, not 3 x 2" in err
+
 
 def test_worker_count_does_not_change_bytes(capsys):
     base = ["verify", "m2", "--n", "4", "--kind", "both", "--no-timing"]

@@ -369,29 +369,52 @@ def _durfee(p):
     return sum(1 for i, part in enumerate(p) if part > i)
 
 
+@functools.cache
+def _unpruned_chain_sums():
+    """(br, k, outer, value) for every chain_sum of the unpruned
+    SummingContext at every k and every outer of the prefix size, for every
+    kind B class and D list up to rank 7."""
+    elements = [("B", c) for n in range(1, 8) for c in class_reps(n)]
+    elements += [("D", c) for n in range(1, 8) for c in valid_d_cycle_lists(n)]
+    out = []
+    for kind, cycles in elements:
+        br = br_from_cycles(kind, cycles)
+        context = SummingContext(br)
+        for k in range(len(context.steps) + 1):
+            for outer in bipartitions_of(context.prefix_sizes[k]):
+                out.append((br, k, outer, context.chain_sum(outer, k)))
+    return len(elements), out
+
+
 def test_chain_sum_is_zero_where_the_durfee_sizes_outrun_the_steps():
     # a 2x2-free strip holds at most one cell per diagonal, so a step lowers
     # a component's Durfee size by at most 1: a barred step touches one
     # component and a plain one at most both.  With p plain and q barred
     # steps among the first k, chain_sum(outer, k) is therefore 0 when
-    # durfee(alpha) + durfee(beta) > 2p + q or either Durfee size exceeds k
-    elements = [("B", c) for n in range(1, 8) for c in class_reps(n)]
-    elements += [("D", c) for n in range(1, 8) for c in valid_d_cycle_lists(n)]
-    entries = fired = 0
-    for kind, cycles in elements:
-        context = MNContext(br_from_cycles(kind, cycles))
-        for k in range(len(context.steps) + 1):
-            head = context.steps[:k]
-            plain = sum(1 for _, bar_kind in head if bar_kind is None)
-            bound = 2 * plain + (k - plain)
-            for outer in bipartitions_of(sum(size for size, _ in head)):
-                value = context.chain_sum(outer, k)
-                entries += 1
-                da, db = _durfee(outer.alpha), _durfee(outer.beta)
-                if da + db > bound or max(da, db) > k:
-                    fired += 1
-                    assert value.is_zero(), (kind, cycles, outer, k)
-    assert (len(elements), entries, fired) == (337, 35886, 802)
+    # durfee(alpha) + durfee(beta) > 2p + q or either Durfee size exceeds k.
+    # Checked on the unpruned recursion, since MNContext applies the bound
+    count, values = _unpruned_chain_sums()
+    fired = 0
+    for br, k, outer, value in values:
+        head = hecke_module._steps(br)[:k]
+        plain = sum(1 for _, bar_kind in head if bar_kind is None)
+        da, db = _durfee(outer.alpha), _durfee(outer.beta)
+        if da + db > 2 * plain + (k - plain) or max(da, db) > k:
+            fired += 1
+            assert value.is_zero(), (br, outer, k)
+    assert (count, len(values), fired) == (337, 35886, 802)
+
+
+def test_pruned_chain_sum_equals_the_unpruned_one():
+    # every (outer, k) up to rank 7, the element's own level included
+    contexts = {}
+    for br, k, outer, value in _unpruned_chain_sums()[1]:
+        if br not in contexts:
+            contexts[br] = MNContext(br)
+        assert contexts[br].chain_sum(outer, k) == value, (br, outer, k)
+    for br, context in contexts.items():
+        assert all(k < len(context.steps) for _, k in context._memo), br
+    assert MNContext(br_from_cycles("B", [-1, 2, 3])).durfee_caps == (0, 1, 3, 5)
 
 
 # -- the summing engine as the oracle of the fused one ---------------------------
@@ -401,7 +424,8 @@ class SummingContext(MNContext):
     """The chain sum as a plain sum of delta * sub through the public ring
     operations, with the size test up front, over the unpruned removals of
     tests/cells.py scored by delta and delta_bar: the engine before the memo
-    entries were accumulated in place, and apart from the strip enumerators."""
+    entries were accumulated in place, apart from the strip enumerators,
+    with no Durfee bound, and storing every level."""
 
     def __init__(self, br):
         super().__init__(br)

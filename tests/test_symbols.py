@@ -397,6 +397,15 @@ def test_enumerate_p_edge_cases():
         enumerate_P_ab(-1, 2)
 
 
+@pytest.mark.parametrize("a, b", [(3, 2), (2, 3), (1, 0), (0, 1), (5, 4)])
+def test_enumerate_p_unordered_needs_a_square_box(a, b):
+    # outside a square box the swap of a pair is no pair, so there is
+    # nothing to identify
+    with pytest.raises(ValueError, match=f"need a square box, not {a} x {b}"):
+        enumerate_P_ab(a, b, unordered=True)
+    assert enumerate_P_ab(0, 0, unordered=True) == [bipartition((), ())]
+
+
 def test_enumerate_p_box_count_and_order():
     # the alphas come by size, then in descending lexicographic order
     assert [bp.alpha for bp in enumerate_P_ab(2, 2)] == [
@@ -441,7 +450,7 @@ def test_enumerate_p_matches_the_sorted_box():
     for a in range(9):
         for b in range(9):
             assert enumerate_P_ab(a, b) == _sorted_box_P_ab(a, b), (a, b)
-            if a == b or a + b <= 8:
+            if a == b:
                 got = enumerate_P_ab(a, b, unordered=True)
                 assert got == _sorted_box_P_ab(a, b, unordered=True), (a, b)
 
