@@ -5,7 +5,8 @@ f_L(w) is the pairing-weighted sum of Hecke traces over the defect-1
 (kind B) or defect-0 (kind D) members of L's family.  For the cuspidal
 symbol this sum collapses, up to the constant delta_const, to the signed
 sum f_ab over one rectangle's worth of bipartitions; both routes are
-implemented and compared in the tests.
+implemented and compared in the tests.  Each hands its (coeff,
+bipartition) terms to hecke._trace_sum, which checks and sums them.
 
 The checks, each returning a VerificationReport (defined in hecke) that a
 caller can audit from the emitted value alone:
@@ -31,20 +32,19 @@ import time
 from fractions import Fraction
 from operator import mul
 
-from .config import NO_LIMITS, Config, ResourceGuardError, check_int
-from .halflaurent import HalfLaurent, _from_clean, frac_str, hl_exact_div
+from .config import NO_LIMITS, Config, check_int
+from .halflaurent import HalfLaurent, frac_str, hl_exact_div
 from .hecke import (
-    BrSequence,
     MNContext,
     VerificationReport,
-    _check_lambda,
     _elapsed_ms,
+    _trace_sum,
     br_from_cycles,
     mn_trace,
     orthogonality_check,
     valid_d_cycle_lists,
 )
-from .shapes import BiPartition, bipartitions_of
+from .shapes import BiPartition, _is_partition, bipartitions_of
 from .symbols import (
     Symbol,
     _box_partner,
@@ -84,28 +84,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _weighted_trace_sum(kind, terms, br: BrSequence, config) -> HalfLaurent:
-    """Sum of coeff * trace over (coeff, bipartition) terms, in one pass
-    through one memo context: the kind, element and rank are checked once,
-    each bipartition as mn_trace checks it, and each coeff * chain sum is
-    added into one dict, which takes the context's prefactor once."""
-    check_kind(kind)
-    if br.kind != kind:
-        raise ValueError(f"element is kind {br.kind}, asked for {kind}")
-    config.check_rank(br.n)
-    context = MNContext(br, config)
-    k = len(context.steps)
-    acc: dict = {}
-    try:
-        for coeff, bp in terms:
-            _check_lambda(kind, bp, br)
-            for e, c in context.chain_sum(bp, k)._terms.items():
-                acc[e] = acc.get(e, 0) + coeff * c
-    except RecursionError:
-        raise ResourceGuardError(f"{k} cycles exceed the interpreter's recursion limit") from None
-    return context.prefactor * _from_clean({e: c for e, c in acc.items() if c})
-
-
 def f_lambda(kind: str, s: Symbol, cycles, config: Config = NO_LIMITS) -> HalfLaurent:
     """2^(-f) times the signed trace sum over the defect-1/0 members of s's family."""
     check_kind(kind)
@@ -122,7 +100,7 @@ def f_lambda(kind: str, s: Symbol, cycles, config: Config = NO_LIMITS) -> HalfLa
             continue
         sign = fourier_sign(dec, family_decompose(member, kind))
         terms.append((sign, bipartition_from_symbol(kind, member)))
-    return Fraction(1, 2 ** dec.f) * _weighted_trace_sum(kind, terms, br, config)
+    return Fraction(1, 2 ** dec.f) * _trace_sum(kind, terms, br, config=config)
 
 
 def f_ab(a: int, b: int, cycles, config: Config = NO_LIMITS) -> HalfLaurent:
@@ -140,7 +118,7 @@ def f_ab(a: int, b: int, cycles, config: Config = NO_LIMITS) -> HalfLaurent:
         raise ValueError(f"cycle total {br.n} != box size {a * b}")
     config.check_rank(a * b)
     terms = [((-1) ** sum(bp.alpha), bp) for bp in enumerate_P_ab(a, b, unordered=(kind == "D"))]
-    return _weighted_trace_sum(kind, terms, br, config)
+    return _trace_sum(kind, terms, br, config=config)
 
 
 def delta_const(kind: str, d: int) -> Fraction:
@@ -166,9 +144,7 @@ def cuspidal_pair_sign(kind: str, d: int, bp: BiPartition) -> Fraction:
     """
     a, b = _cuspidal_box(kind, d)
     alpha, beta = bp
-    fits = (type(alpha) is tuple and len(alpha) <= a
-            and all(type(x) is int and 0 < x <= b for x in alpha)
-            and list(alpha) == sorted(alpha, reverse=True))
+    fits = _is_partition(alpha) and len(alpha) <= a and (not alpha or alpha[0] <= b)
     if not (fits and beta == _box_partner(alpha, a, b)):
         raise ValueError(f"{bp} is not in the cuspidal index set for kind {kind}, d={d}")
     return (-1) ** sum(alpha) * delta_const(kind, d)

@@ -15,12 +15,14 @@ statistic delta_bar, and the whole sum carries a prefactor u^(l'/2) with
 l' counting the non-distinguished letters of the defining word.  Partial
 sums are memoized on (remaining bipartition, number of remaining
 segments), so sweeps over many bipartitions of the same rank share work
-through a common context.  Each memo entry sums straight over the scored
-strip removals of its step, as the strip enumerators of the shapes module
-yield them.  No factor is zero: the enumerators yield only shapes with no
-2x2 block, whose delta is +-u^(e/2) * U^(m-1) with U = u^(1/2) - u^(-1/2),
-and for a barred step only connected strips, whose delta_bar is one
-+-monomial.
+through a common context.  Every sum of traces of one element, a single
+trace (mn_trace) or a family's weighted sum (f_lambda, f_ab), checks its
+input in one order and applies the prefactor once, in _trace_sum.  Each
+memo entry sums straight over the scored strip removals of its step, as
+the strip enumerators of the shapes module yield them.  No factor is
+zero: the enumerators yield only shapes with no 2x2 block, whose delta is
++-u^(e/2) * U^(m-1) with U = u^(1/2) - u^(-1/2), and for a barred step
+only connected strips, whose delta_bar is one +-monomial.
 
 Such a strip holds at most one cell per diagonal, so a step lowers a
 component's Durfee size (the side of its largest square) by at most 1: a
@@ -67,6 +69,7 @@ from .config import NO_LIMITS, Config, ResourceGuardError, check_int
 from .halflaurent import ONE, ZERO, HalfLaurent, _from_clean, frac_str, half_power
 from .shapes import (
     BiPartition,
+    _is_partition,
     bipartitions_of,
     broken_strip_removals,
     check_kind,
@@ -270,19 +273,43 @@ def _traces_at_one(br: BrSequence, bps, tables: dict, config: Config) -> list:
     return [chain(bp, len(steps)) for bp in bps]
 
 
-def _check_lambda(kind: str, lam: BiPartition, br: BrSequence) -> None:
-    """ValueError unless lam is a bipartition that the trace of br of this
-    kind is defined on: two partitions (tuples of positive ints, weakly
-    decreasing) of total size br.n, distinct for kind D.  Checked once per
-    bipartition, so chain_sum can trust every outer."""
-    for side in lam:
-        if not (type(side) is tuple and all(type(x) is int for x in side)
-                and (not side or side[-1] > 0) and sorted(side, reverse=True) == list(side)):
-            raise ValueError(f"{side!r} in {lam} is not a partition")
-    if lam.size != br.n:
-        raise ValueError(f"|lambda| = {lam.size} but the element moves {br.n} points")
-    if kind == "D" and lam.alpha == lam.beta:
-        raise ValueError(f"kind D trace undefined for equal components {lam}")
+def _checked_context(kind: str, terms, br: BrSequence, context, config: Config) -> MNContext:
+    """context, or a new one for br under config, once the kind, the element,
+    the context, every bipartition of terms (partition tuples of total size
+    br.n, distinct for kind D) and config's max_rank pass, in that order."""
+    check_kind(kind)
+    if br.kind != kind:
+        raise ValueError(f"element is kind {br.kind}, asked for {kind}")
+    if context is not None and context.br is not br and context.br != br:
+        raise ValueError(f"context is for {context.br.cycles}, not {br.cycles}")
+    for _, lam in terms:
+        for side in lam:
+            if not _is_partition(side):
+                raise ValueError(f"{side!r} in {lam} is not a partition")
+        if lam.size != br.n:
+            raise ValueError(f"|lambda| = {lam.size} but the element moves {br.n} points")
+        if kind == "D" and lam.alpha == lam.beta:
+            raise ValueError(f"kind D trace undefined for equal components {lam}")
+    config.check_rank(br.n)
+    return MNContext(br, config) if context is None else context
+
+
+def _trace_sum(kind: str, terms, br: BrSequence, context: MNContext | None = None,
+               config: Config = NO_LIMITS) -> HalfLaurent:
+    """Sum of coeff * trace of br over the (coeff, bipartition) pairs of the
+    sequence terms, checked by _checked_context and summed through one
+    context into one dict, which takes the prefactor once.  A chain recurses
+    once per cycle: past the recursion limit, ResourceGuardError."""
+    context = _checked_context(kind, terms, br, context, config)
+    k = len(context.steps)
+    acc: dict = {}
+    try:
+        for coeff, lam in terms:
+            for e, c in context.chain_sum(lam, k)._terms.items():
+                acc[e] = acc.get(e, 0) + coeff * c
+    except RecursionError:
+        raise ResourceGuardError(f"{k} cycles exceed the interpreter's recursion limit") from None
+    return context.prefactor * _from_clean({e: c for e, c in acc.items() if c})
 
 
 def mn_trace(
@@ -293,38 +320,22 @@ def mn_trace(
     config: Config = NO_LIMITS,
     cache_store: "TraceCache | None" = None,
 ) -> HalfLaurent:
-    """Trace of T_Br on the module of the bipartition lam, exactly.
+    """Trace of T_Br on the module of the bipartition lam, exactly: the
+    one-term _trace_sum, with a cache_store read only after its checks.
 
     Pass a shared context when sweeping many bipartitions against the
     same element; its own limits then apply to the memo, and config's
     max_rank to the call.  Omitting config sets no limits.  kind D
     refuses lam.alpha == lam.beta: those modules split and are out of
-    scope here.  Each component of lam must be a tuple of positive ints in
-    weakly decreasing order, or ValueError names it.  The chain sum
-    recurses once per cycle, so more cycles than the interpreter's
-    recursion limit allows raise ResourceGuardError.
+    scope here.
     """
-    check_kind(kind)
-    if br.kind != kind:
-        raise ValueError(f"element is kind {br.kind}, asked for {kind}")
-    _check_lambda(kind, lam, br)
-    config.check_rank(br.n)
-    if context is not None and context.br is not br and context.br != br:
-        raise ValueError(f"context is for {context.br.cycles}, not {br.cycles}")
-    if cache_store is not None:
-        cached = cache_store.get(kind, lam, br)
-        if cached is not None:
-            return cached
-    if context is None:
-        context = MNContext(br, config)
-    try:
-        chain = context.chain_sum(lam, len(context.steps))
-    except RecursionError:
-        raise ResourceGuardError(
-            f"{len(context.steps)} cycles exceed the interpreter's recursion limit"
-        ) from None
-    value = context.prefactor * chain
-    if cache_store is not None:
+    terms = ((1, lam),)
+    if cache_store is None:
+        return _trace_sum(kind, terms, br, context, config)
+    context = _checked_context(kind, terms, br, context, config)
+    value = cache_store.get(kind, lam, br)
+    if value is None:
+        value = _trace_sum(kind, terms, br, context, config)
         cache_store.put(kind, lam, br, value)
     return value
 

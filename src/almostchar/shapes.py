@@ -123,6 +123,13 @@ def partition(parts) -> Partition:
     return tuple(x for x in parts if x != 0)
 
 
+def _is_partition(p) -> bool:
+    """Whether p is already a partition tuple, as partition() returns one:
+    a tuple of positive ints (no bool), weakly decreasing."""
+    return (type(p) is tuple and all(type(x) is int for x in p)
+            and all(x >= y for x, y in zip(p, p[1:])) and (not p or p[-1] > 0))
+
+
 def bipartition(alpha, beta) -> BiPartition:
     return BiPartition(partition(alpha), partition(beta))
 

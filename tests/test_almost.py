@@ -58,6 +58,7 @@ from seminormal import (
     trace_of_word,
     word_for_b_cycles_in_order,
 )
+from test_hecke import SummingContext
 
 bp = bipartition
 
@@ -227,9 +228,9 @@ def test_f_ab_examples():
 
 
 def test_f_ab_is_the_signed_sum_of_its_traces():
-    # the one-pass sum against the per-trace path, on every box of rank
-    # <= 12, each with about ten of its classes (B) or admissible lists (D)
-    # at an even stride
+    # the one-pass sum against the per-trace sums of the unpruned summing
+    # engine, on every box of rank <= 12, each with about ten of its classes
+    # (B) or admissible lists (D) at an even stride
     elements = 0
     for a in range(13):
         for b in range(13):
@@ -241,7 +242,7 @@ def test_f_ab_is_the_signed_sum_of_its_traces():
             pairs = enumerate_P_ab(a, b, unordered=kind == "D")
             for cycles in lists[:: max(1, len(lists) // 10)]:
                 br = br_from_cycles(kind, cycles)
-                context = MNContext(br)
+                context = SummingContext(br)
                 want = ZERO
                 for pair in pairs:
                     want = want + (-1) ** sum(pair.alpha) * mn_trace(kind, pair, br, context=context)
@@ -251,7 +252,8 @@ def test_f_ab_is_the_signed_sum_of_its_traces():
 
 
 def test_f_lambda_is_the_weighted_sum_of_its_traces():
-    # every B class up to rank 6 against one member of every family
+    # every B class up to rank 6 against one member of every family, each
+    # trace by the unpruned summing engine
     sums = 0
     for n in range(1, 7):
         for fam in enumerate_symbols(n, "B"):
@@ -265,9 +267,10 @@ def test_f_lambda_is_the_weighted_sum_of_its_traces():
             ]
             for cycles in class_reps(n):
                 br = br_from_cycles("B", cycles)
+                context = SummingContext(br)
                 want = ZERO
                 for sign, lam in terms:
-                    want = want + sign * mn_trace("B", lam, br)
+                    want = want + sign * mn_trace("B", lam, br, context=context)
                 assert f_lambda("B", s, cycles) == Fraction(1, 2 ** dec.f) * want, (s, cycles)
                 sums += 1
     assert sums == 2545
@@ -284,11 +287,13 @@ def test_f_lambda_is_the_weighted_sum_of_its_traces():
     ],
 )
 def test_fused_sum_refuses_a_bipartition_as_mn_trace_does(kind, lam, cycles):
+    # the bad bipartition comes second, after a good one, so the check is
+    # seen to cover every term
     br = br_from_cycles(kind, cycles)
     with pytest.raises(ValueError) as per_trace:
         mn_trace(kind, lam, br)
     with pytest.raises(ValueError) as fused:
-        almost_module._weighted_trace_sum(kind, [(1, lam)], br, Config())
+        hecke_module._trace_sum(kind, [(1, bp([br.n], [])), (1, lam)], br)
     assert str(fused.value) == str(per_trace.value)
 
 
@@ -321,7 +326,7 @@ def test_r30_memo_holds_the_inner_entries_only(monkeypatch):
             super().__init__(*args)
             contexts.append(self)
 
-    monkeypatch.setattr(almost_module, "MNContext", Recorded)
+    monkeypatch.setattr(hecke_module, "MNContext", Recorded)
     f_ab(6, 5, [-2, 12, 16], Config(max_rank=30))
     (context,) = contexts
     assert len(context._memo) == 148

@@ -123,6 +123,17 @@ def test_invalid_input_exit_two(capsys):
     assert code == 2
 
 
+def test_a_bad_bipartition_exits_two_before_the_rank_guard(capsys):
+    # rank 3 is past --max-rank 2 too, but the bipartition is checked first
+    code, out, err = run(
+        capsys,
+        ["mn", "eval", "--kind", "B", "--lambda", "[[1],[]]", "--cycles", "[1,1,1]",
+         "--max-rank", "2"],
+    )
+    assert (code, out) == (2, "")
+    assert "|lambda| = 1 but the element moves 3 points" in err
+
+
 def test_resource_guards_exit_three(capsys):
     code, _, err = run(
         capsys,

@@ -96,6 +96,28 @@ def test_the_module_level_caches_are_the_listed_ones():
                     assert node.name in CACHES.get(path.stem, set()), (path.name, node.name)
 
 
+def test_only_hecke_sums_chains_and_applies_the_prefactor():
+    # every trace sum goes through hecke._trace_sum, so no other module calls
+    # chain_sum or reads prefactor, and within hecke only the sum and the
+    # chain's own recursion call chain_sum
+    def reads(node, function=None):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr in ("chain_sum", "prefactor")):
+            yield function, node.attr
+        for child in ast.iter_child_nodes(node):
+            yield from reads(child, function)
+
+    found = {
+        (path.stem, *read)
+        for path in sorted(Path(almostchar.__file__).parent.glob("*.py"))
+        for read in reads(ast.parse(path.read_text()))
+    }
+    assert found == {("hecke", "_trace_sum", "chain_sum"), ("hecke", "_trace_sum", "prefactor"),
+                     ("hecke", "chain_sum", "chain_sum")}
+
+
 def test_the_runtime_imports_only_the_standard_library():
     # every import in the package is relative or names a stdlib module,
     # whether it sits at module level or inside a function

@@ -276,6 +276,32 @@ def test_mn_trace_rejects_a_context_built_for_another_element():
     )
 
 
+def test_a_trace_checks_kind_element_context_bipartition_rank_then_cache():
+    class Unread:
+        def get(self, *args):
+            raise AssertionError("the cache was read before the checks")
+
+    br, lam = br_from_cycles("B", [1, 1]), bp([1], [1])
+    other = MNContext(br_from_cycles("B", [2]))
+    tight = Config(max_rank=1)
+    for call in (
+        mn_trace,
+        lambda kind, lam, br, **kw: mn_trace(kind, lam, br, cache_store=Unread(), **kw),
+        lambda kind, lam, br, **kw: hecke_module._trace_sum(kind, [(1, lam)], br, **kw),
+    ):
+        with pytest.raises(ValueError, match="kind must be"):
+            call("C", bp([9], []), br_from_cycles("D", [2]), context=other, config=tight)
+        with pytest.raises(ValueError, match="element is kind B"):
+            call("D", bp([9], []), br, context=other, config=tight)
+        # the rank is over max_rank too, but the context is checked first
+        with pytest.raises(ValueError, match=r"context is for \(2,\), not \(1, 1\)"):
+            call("B", lam, br, context=other, config=tight)
+        with pytest.raises(ValueError, match=r"\|lambda\| = 1"):
+            call("B", bp([1], []), br, config=tight)
+        with pytest.raises(ResourceGuardError, match="max_rank"):
+            call("B", lam, br, config=tight)
+
+
 def test_memo_budget_guard():
     br = br_from_cycles("B", [-2, 3])
     ctx = MNContext(br, Config(memo_budget=1))
