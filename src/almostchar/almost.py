@@ -5,8 +5,9 @@ f_L(w) is the pairing-weighted sum of Hecke traces over the defect-1
 (kind B) or defect-0 (kind D) members of L's family.  For the cuspidal
 symbol this sum collapses, up to the constant delta_const, to the signed
 sum f_ab over one rectangle's worth of bipartitions; both routes are
-implemented and compared in the tests.  Each hands its (coeff,
-bipartition) terms to hecke._trace_sum, which checks and sums them.
+implemented and compared in the tests.  Each checks its arguments, then
+the rank, and streams its (coeff, bipartition) terms, valid by
+construction, to hecke._trace_sum, which only sums them.
 
 The checks, each returning a VerificationReport (defined in hecke) that a
 caller can audit from the emitted value alone:
@@ -48,6 +49,7 @@ from .shapes import BiPartition, _is_partition, bipartitions_of
 from .symbols import (
     Symbol,
     _box_partner,
+    _box_sides,
     _cuspidal_box,
     bipartition_from_symbol,
     check_kind,
@@ -86,21 +88,19 @@ __all__ = [
 
 def f_lambda(kind: str, s: Symbol, cycles, config: Config = NO_LIMITS) -> HalfLaurent:
     """2^(-f) times the signed trace sum over the defect-1/0 members of s's family."""
-    check_kind(kind)
     br = br_from_cycles(kind, cycles)
     rank, _ = rank_defect(s)
     if rank != br.n:
         raise ValueError(f"symbol rank {rank} != cycle total {br.n}")
-    config.check_rank(rank)
     dec = family_decompose(s, kind)
+    config.check_rank(rank)
     want = 1 if kind == "B" else 0
-    terms = []
-    for member in family_members(kind, dec.Z1, dec.Z2):
-        if rank_defect(member)[1] != want:
-            continue
-        sign = fourier_sign(dec, family_decompose(member, kind))
-        terms.append((sign, bipartition_from_symbol(kind, member)))
-    return Fraction(1, 2 ** dec.f) * _trace_sum(kind, terms, br, config=config)
+    terms = (
+        (fourier_sign(dec, family_decompose(member, kind)), bipartition_from_symbol(kind, member))
+        for member in family_members(kind, dec.Z1, dec.Z2)
+        if rank_defect(member)[1] == want
+    )
+    return Fraction(1, 2 ** dec.f) * _trace_sum(terms, br, config=config)
 
 
 def f_ab(a: int, b: int, cycles, config: Config = NO_LIMITS) -> HalfLaurent:
@@ -110,15 +110,14 @@ def f_ab(a: int, b: int, cycles, config: Config = NO_LIMITS) -> HalfLaurent:
     sign (-1)^|alpha| is orientation-independent because the two sides
     have equal size parity.  Everything else is kind B.
     """
-    if check_int("a", a) < 0 or check_int("b", b) < 0:
-        raise ValueError("box dimensions must be nonnegative")
+    _box_sides(a, b)
     kind = "D" if a == b and a > 0 else "B"
     br = br_from_cycles(kind, cycles)
     if br.n != a * b:
         raise ValueError(f"cycle total {br.n} != box size {a * b}")
     config.check_rank(a * b)
-    terms = [((-1) ** sum(bp.alpha), bp) for bp in enumerate_P_ab(a, b, unordered=(kind == "D"))]
-    return _trace_sum(kind, terms, br, config=config)
+    terms = (((-1) ** sum(bp.alpha), bp) for bp in enumerate_P_ab(a, b, unordered=(kind == "D")))
+    return _trace_sum(terms, br, config=config)
 
 
 def delta_const(kind: str, d: int) -> Fraction:

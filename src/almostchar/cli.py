@@ -113,8 +113,9 @@ def _cmd_family_list(args, config):
 
 def _cmd_family_pairing_matrix(args, config):
     from .halflaurent import frac_str
-    from .symbols import family_members, pairing, rank_defect, symbol_from_label
+    from .symbols import _family_key, family_members, pairing, rank_defect, symbol_from_label
     z1, z2 = tuple(_parse_row(args.Z1, "--Z1")), tuple(_parse_row(args.Z2, "--Z2"))
+    _family_key(args.kind, z1, z2)  # a bad key exits 2 before the rank guard
     config.check_rank(rank_defect(symbol_from_label(z1, z2, ()))[0])
     members = family_members(args.kind, z1, z2)
     matrix = [
@@ -207,10 +208,8 @@ def _cmd_verify_m2(args, config):
 
 
 def _cmd_enumerate_pab(args, config):
-    from .symbols import enumerate_P_ab
-    # before the rank guard, since two negative sides have a positive product
-    if args.a < 0 or args.b < 0:
-        raise ValueError("box dimensions must be nonnegative")
+    from .symbols import _box_sides, enumerate_P_ab
+    _box_sides(args.a, args.b)  # before the guard: two negative sides have a positive product
     config.check_rank(args.a * args.b)
     pairs = enumerate_P_ab(args.a, args.b, unordered=args.unordered)
     return 0, [bp.to_json_obj() for bp in pairs]

@@ -16,11 +16,12 @@ l' counting the non-distinguished letters of the defining word.  Partial
 sums are memoized on (remaining bipartition, number of remaining
 segments), so sweeps over many bipartitions of the same rank share work
 through a common context.  Every sum of traces of one element, a single
-trace (mn_trace) or a family's weighted sum (f_lambda, f_ab), checks its
-input in one order and applies the prefactor once, in _trace_sum.  Each
-memo entry sums straight over the scored strip removals of its step, as
-the strip enumerators of the shapes module yield them.  No factor is
-zero: the enumerators yield only shapes with no 2x2 block, whose delta is
+trace (mn_trace) or a family's weighted sum (f_lambda, f_ab), goes through
+_trace_sum, which only sums and applies the prefactor once (mn_trace
+checks its bipartition; the family sums build theirs valid).  Each memo
+entry sums straight over the scored strip removals of its step, as the
+strip enumerators of the shapes module yield them.  No factor is zero:
+the enumerators yield only shapes with no 2x2 block, whose delta is
 +-u^(e/2) * U^(m-1) with U = u^(1/2) - u^(-1/2), and for a barred step
 only connected strips, whose delta_bar is one +-monomial.
 
@@ -273,34 +274,14 @@ def _traces_at_one(br: BrSequence, bps, tables: dict, config: Config) -> list:
     return [chain(bp, len(steps)) for bp in bps]
 
 
-def _checked_context(kind: str, terms, br: BrSequence, context, config: Config) -> MNContext:
-    """context, or a new one for br under config, once the kind, the element,
-    the context, every bipartition of terms (partition tuples of total size
-    br.n, distinct for kind D) and config's max_rank pass, in that order."""
-    check_kind(kind)
-    if br.kind != kind:
-        raise ValueError(f"element is kind {br.kind}, asked for {kind}")
-    if context is not None and context.br is not br and context.br != br:
-        raise ValueError(f"context is for {context.br.cycles}, not {br.cycles}")
-    for _, lam in terms:
-        for side in lam:
-            if not _is_partition(side):
-                raise ValueError(f"{side!r} in {lam} is not a partition")
-        if lam.size != br.n:
-            raise ValueError(f"|lambda| = {lam.size} but the element moves {br.n} points")
-        if kind == "D" and lam.alpha == lam.beta:
-            raise ValueError(f"kind D trace undefined for equal components {lam}")
-    config.check_rank(br.n)
-    return MNContext(br, config) if context is None else context
-
-
-def _trace_sum(kind: str, terms, br: BrSequence, context: MNContext | None = None,
+def _trace_sum(terms, br: BrSequence, context: MNContext | None = None,
                config: Config = NO_LIMITS) -> HalfLaurent:
-    """Sum of coeff * trace of br over the (coeff, bipartition) pairs of the
-    sequence terms, checked by _checked_context and summed through one
-    context into one dict, which takes the prefactor once.  A chain recurses
-    once per cycle: past the recursion limit, ResourceGuardError."""
-    context = _checked_context(kind, terms, br, context, config)
+    """Sum of coeff * trace of br over the (coeff, bipartition) pairs of
+    terms, walked once through one context (by default a new one for br
+    under config) into one dict, which takes the prefactor once.  It checks
+    nothing: mn_trace and the family sums check their input.  A chain
+    recurses once per cycle: past the recursion limit, ResourceGuardError."""
+    context = MNContext(br, config) if context is None else context
     k = len(context.steps)
     acc: dict = {}
     try:
@@ -321,22 +302,29 @@ def mn_trace(
     cache_store: "TraceCache | None" = None,
 ) -> HalfLaurent:
     """Trace of T_Br on the module of the bipartition lam, exactly: the
-    one-term _trace_sum, with a cache_store read only after its checks.
-
-    Pass a shared context when sweeping many bipartitions against the
-    same element; its own limits then apply to the memo, and config's
-    max_rank to the call.  Omitting config sets no limits.  kind D
-    refuses lam.alpha == lam.beta: those modules split and are out of
-    scope here.
-    """
-    terms = ((1, lam),)
-    if cache_store is None:
-        return _trace_sum(kind, terms, br, context, config)
-    context = _checked_context(kind, terms, br, context, config)
-    value = cache_store.get(kind, lam, br)
+    one-term _trace_sum, once the kind, the element, the context, lam
+    (partition tuples of size br.n, distinct for kind D: those modules
+    split) and config's max_rank pass, in that order; only then is a
+    cache_store read.  A shared context (for sweeps over one element) sets
+    the memo's limits, and config's max_rank the call's."""
+    check_kind(kind)
+    if br.kind != kind:
+        raise ValueError(f"element is kind {br.kind}, asked for {kind}")
+    if context is not None and context.br is not br and context.br != br:
+        raise ValueError(f"context is for {context.br.cycles}, not {br.cycles}")
+    for side in lam:
+        if not _is_partition(side):
+            raise ValueError(f"{side!r} in {lam} is not a partition")
+    if lam.size != br.n:
+        raise ValueError(f"|lambda| = {lam.size} but the element moves {br.n} points")
+    if kind == "D" and lam.alpha == lam.beta:
+        raise ValueError(f"kind D trace undefined for equal components {lam}")
+    config.check_rank(br.n)
+    value = None if cache_store is None else cache_store.get(kind, lam, br)
     if value is None:
-        value = _trace_sum(kind, terms, br, context, config)
-        cache_store.put(kind, lam, br, value)
+        value = _trace_sum(((1, lam),), br, context, config)
+        if cache_store is not None:
+            cache_store.put(kind, lam, br, value)
     return value
 
 

@@ -177,6 +177,8 @@ def family_decompose(s: Symbol, kind: str) -> FamilyDecomposition:
         raise ValueError(f"degenerate symbol {s} has no family decomposition")
     _, defect = rank_defect(s)
     ss, ts = set(s.rowS), set(s.rowT)
+    if len(ss) != len(s.rowS) or len(ts) != len(s.rowT):
+        raise ValueError(f"{s} has a repeated entry in a row")
     Z2 = tuple(sorted(ss & ts))
     Z1 = tuple(sorted(ss ^ ts))
     if kind == "B":
@@ -221,13 +223,19 @@ def family_members(kind: str, Z1, Z2) -> tuple:
     2^(2 d1) members.  Kind D: additionally min(Z1) is excluded, giving
     2^(2 d1 - 2).  Listed by (|M|, M) lexicographically.
     """
+    Z1, Z2 = _family_key(kind, Z1, Z2)
+    return tuple(symbol_from_label(Z1, Z2, M) for M in _labels(kind, Z1))
+
+
+def _family_key(kind: str, Z1, Z2) -> tuple:
+    """(Z1, Z2) sorted, once kind and the number of singles fit a family."""
     check_kind(kind)
     Z1, Z2 = tuple(sorted(Z1)), tuple(sorted(Z2))
     if kind == "B" and len(Z1) % 2 != 1:
         raise ValueError("kind B family needs an odd number of singles")
     if kind == "D" and (len(Z1) % 2 != 0 or not Z1):
         raise ValueError("kind D family needs a nonzero even number of singles")
-    return tuple(symbol_from_label(Z1, Z2, M) for M in _labels(kind, Z1))
+    return Z1, Z2
 
 
 def fourier_sign(da: FamilyDecomposition, db: FamilyDecomposition) -> int:
@@ -366,6 +374,12 @@ def _cuspidal_box(kind: str, d: int) -> tuple:
     return (d + 1, d) if kind == "B" else (2 * d, 2 * d)
 
 
+def _box_sides(a: int, b: int) -> None:
+    """The one check of box sides: both nonnegative ints."""
+    if check_int("a", a) < 0 or check_int("b", b) < 0:
+        raise ValueError("box dimensions must be nonnegative")
+
+
 def _box_partitions(n: int, rows: int, cols: int) -> Iterator[tuple]:
     """Partitions of n with at most `rows` parts, each at most `cols`, in
     descending lexicographic order."""
@@ -398,8 +412,7 @@ def enumerate_P_ab(a: int, b: int, unordered: bool = False) -> list:
     of its two orders comes: |alpha| below half the box, or exactly half
     with alpha the larger side.
     """
-    if check_int("a", a) < 0 or check_int("b", b) < 0:
-        raise ValueError("box dimensions must be nonnegative")
+    _box_sides(a, b)
     if unordered and a != b:
         raise ValueError(f"unordered pairs need a square box, not {a} x {b}")
     out = []

@@ -217,6 +217,13 @@ def test_f_lambda_rank_mismatch():
         f_lambda("B", lam_c, [1])
 
 
+def test_f_lambda_refuses_a_row_with_a_repeated_entry():
+    # rank 9 by rank_defect, but the family {1,3,5} has rank-8 members:
+    # summing them would give 0 rather than a refusal
+    with pytest.raises(ValueError, match="repeated entry"):
+        f_lambda("B", symbols_module.Symbol((1, 1, 3, 3, 5), ()), [9])
+
+
 # -- the rectangle route ---------------------------------------------------------
 
 
@@ -276,25 +283,44 @@ def test_f_lambda_is_the_weighted_sum_of_its_traces():
     assert sums == 2545
 
 
-@pytest.mark.parametrize(
-    "kind, lam, cycles",
-    [
-        ("B", bp([1], [1]), [-1, 2]),  # wrong size
-        ("B", shapes_module.BiPartition((1, 2), ()), [3]),  # not a partition
-        ("B", shapes_module.BiPartition((2, 0), (1,)), [3]),  # a zero part
-        ("B", shapes_module.BiPartition([2], (1,)), [3]),  # not a tuple
-        ("D", bp([1], [1]), [-1, -1]),  # equal components
-    ],
-)
-def test_fused_sum_refuses_a_bipartition_as_mn_trace_does(kind, lam, cycles):
-    # the bad bipartition comes second, after a good one, so the check is
-    # seen to cover every term
-    br = br_from_cycles(kind, cycles)
-    with pytest.raises(ValueError) as per_trace:
-        mn_trace(kind, lam, br)
-    with pytest.raises(ValueError) as fused:
-        hecke_module._trace_sum(kind, [(1, bp([br.n], [])), (1, lam)], br)
-    assert str(fused.value) == str(per_trace.value)
+def test_family_sums_hand_over_only_valid_bipartitions(monkeypatch):
+    # hecke._trace_sum checks no term, so every term that f_ab or f_lambda
+    # builds must be valid by construction: a pair of partition tuples of
+    # the element's size, with two different sides for kind D
+    def is_partition(side):
+        return (type(side) is tuple and all(type(x) is int and x > 0 for x in side)
+                and list(side) == sorted(side, reverse=True))
+
+    handed = []
+
+    def record(terms, br, context=None, config=None):
+        handed.append((br, list(terms)))
+        return ZERO
+
+    monkeypatch.setattr(almost_module, "_trace_sum", record)
+    for a in range(8):
+        for b in range(8):
+            f_ab(a, b, [1] * (a * b))
+    for kind in ("B", "D"):
+        for n in range(1, 7):
+            for fam in enumerate_symbols(n, kind):
+                if not fam.degenerate:
+                    f_lambda(kind, fam.members[0], [1] * n)
+    terms = 0
+    for br, handed_terms in handed:
+        assert handed_terms, br
+        for coeff, lam in handed_terms:
+            assert coeff in (1, -1)
+            assert isinstance(lam, shapes_module.BiPartition)
+            assert all(map(is_partition, lam)), lam
+            assert sum(map(sum, lam)) == br.n, (lam, br)
+            assert br.kind == "B" or lam.alpha != lam.beta, lam
+            terms += 1
+    # 64 boxes with 10,516 pairs, then 63 B and 50 D families with 204 members
+    assert (len(handed), terms) == (64 + 63 + 50, 10516 + 204)
+    # in a square box the partner's boundary path is alpha's with its
+    # steps swapped, so no pair is a self-partner, in either order
+    assert not [pair for a in range(1, 9) for pair in enumerate_P_ab(a, a) if pair.alpha == pair.beta]
 
 
 def test_fused_sum_turns_deep_recursion_into_a_resource_guard():

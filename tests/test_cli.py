@@ -134,6 +134,26 @@ def test_a_bad_bipartition_exits_two_before_the_rank_guard(capsys):
     assert "|lambda| = 1 but the element moves 3 points" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a rank-36 symbol of even defect
+        (["flambda", "--kind", "B", "--S", "0,1,2,3,4,5,6,7,8,9,10,11", "--T", "",
+          "--cycles", "[36]"], "is not a kind B symbol (defect must be odd)"),
+        # family keys of rank 69 and 46 with the wrong number of singles
+        (["family", "pairing-matrix", "--kind", "B", "--Z1", "0,5,10,15,20,25"],
+         "kind B family needs an odd number of singles"),
+        (["family", "pairing-matrix", "--kind", "D", "--Z1", "0,5,10,15,20"],
+         "kind D family needs a nonzero even number of singles"),
+    ],
+)
+def test_bad_input_exits_two_before_the_rank_guard(capsys, argv, message):
+    # each input is past --max-rank 20 too, but it is checked first
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_resource_guards_exit_three(capsys):
     code, _, err = run(
         capsys,

@@ -276,18 +276,20 @@ def test_mn_trace_rejects_a_context_built_for_another_element():
     )
 
 
-def test_a_trace_checks_kind_element_context_bipartition_rank_then_cache():
-    class Unread:
-        def get(self, *args):
-            raise AssertionError("the cache was read before the checks")
+class Unread:
+    """A cache_store that must not be read."""
 
+    def get(self, *args):
+        raise AssertionError("the cache was read before the checks")
+
+
+def test_a_trace_checks_kind_element_context_bipartition_rank_then_cache():
     br, lam = br_from_cycles("B", [1, 1]), bp([1], [1])
     other = MNContext(br_from_cycles("B", [2]))
     tight = Config(max_rank=1)
     for call in (
         mn_trace,
         lambda kind, lam, br, **kw: mn_trace(kind, lam, br, cache_store=Unread(), **kw),
-        lambda kind, lam, br, **kw: hecke_module._trace_sum(kind, [(1, lam)], br, **kw),
     ):
         with pytest.raises(ValueError, match="kind must be"):
             call("C", bp([9], []), br_from_cycles("D", [2]), context=other, config=tight)
@@ -300,6 +302,51 @@ def test_a_trace_checks_kind_element_context_bipartition_rank_then_cache():
             call("B", bp([1], []), br, config=tight)
         with pytest.raises(ResourceGuardError, match="max_rank"):
             call("B", lam, br, config=tight)
+
+
+@pytest.mark.parametrize(
+    "kind, lam, cycles",
+    [
+        ("B", bp([1], [1]), [-1, 2]),  # wrong size
+        ("B", BiPartition((1, 2), ()), [3]),  # not a partition
+        ("B", BiPartition((2, 0), (1,)), [3]),  # a zero part
+        ("B", BiPartition([2], (1,)), [3]),  # not a tuple
+        ("D", bp([1], [1]), [-1, -1]),  # equal components
+    ],
+)
+def test_mn_trace_refuses_a_bipartition_from_outside(kind, lam, cycles):
+    # mn_trace is where a caller's bipartition enters, so it is the one
+    # place that refuses one, with or without a cache
+    br = br_from_cycles(kind, cycles)
+    with pytest.raises(ValueError) as plain:
+        mn_trace(kind, lam, br)
+    with pytest.raises(ValueError) as cached:
+        mn_trace(kind, lam, br, cache_store=Unread())
+    assert str(cached.value) == str(plain.value)
+
+
+def test_mn_trace_checks_each_side_once_with_or_without_a_cache(monkeypatch):
+    class Store(dict):
+        def get(self, *key):
+            return super().get(key)
+
+        def put(self, *args):
+            self[args[:3]] = args[3]
+
+    checked = []
+
+    def counted(side):
+        checked.append(side)
+        return is_partition(side)
+
+    is_partition = hecke_module._is_partition
+    monkeypatch.setattr(hecke_module, "_is_partition", counted)
+    br, lam = br_from_cycles("B", [-1, 3]), bp([3], [1])
+    store = Store()
+    for cache_store in (None, store, store):  # no cache, a miss, a hit
+        checked.clear()
+        assert mn_trace("B", lam, br, cache_store=cache_store) == hl([(6, 1), (4, -2)])
+        assert checked == [(3,), (1,)]
 
 
 def test_memo_budget_guard():
