@@ -2,12 +2,14 @@
 
 For a symbol L of rank n and a signed cycle type w, the coefficient
 f_L(w) is the pairing-weighted sum of Hecke traces over the defect-1
-(kind B) or defect-0 (kind D) members of L's family.  For the cuspidal
-symbol this sum collapses, up to the constant delta_const, to the signed
-sum f_ab over one rectangle's worth of bipartitions; both routes are
-implemented and compared in the tests.  Each checks its arguments, then
-the rank, and streams its (coeff, bipartition) terms, valid by
-construction, to hecke._trace_sum, which only sums them.
+(kind B) or defect-0 (kind D) members of L's family, read off their
+labels by symbols._family: only those members are built as symbols.
+For the cuspidal symbol this sum collapses, up to the constant
+delta_const, to the signed sum f_ab over one rectangle's worth of
+bipartitions; both routes are implemented and compared in the tests.
+Each checks its arguments, then the rank, and streams its (coeff,
+bipartition) terms, valid by construction, to hecke._trace_sum, which
+only sums them.
 
 The checks, each returning a VerificationReport (defined in hecke) that a
 caller can audit from the emitted value alone:
@@ -22,7 +24,8 @@ caller can audit from the emitted value alone:
   the table in integers, and imported here too; `verify orthogonality`
   loads neither this module nor symbols);
 * involution_check / m2_check: the family pairing matrix squares to the
-  identity, and pairing against the m2 multiplicities sums to 1;
+  identity, and pairing against the m2 multiplicities sums to 1, each
+  over the member decompositions of symbols._family;
 * d_swap_diagnostic: reports (without asserting) whether kind D traces
   depend on the component order of the bipartition.
 """
@@ -51,16 +54,17 @@ from .symbols import (
     _box_partner,
     _box_sides,
     _cuspidal_box,
+    _family,
     bipartition_from_symbol,
     check_kind,
     enumerate_P_ab,
     enumerate_symbols,
     family_decompose,
-    family_members,
     fourier_sign,
     m2_unipotent,
     rank_defect,
     special_cuspidal,
+    symbol_from_label,
 )
 
 __all__ = [
@@ -94,11 +98,12 @@ def f_lambda(kind: str, s: Symbol, cycles, config: Config = NO_LIMITS) -> HalfLa
         raise ValueError(f"symbol rank {rank} != cycle total {br.n}")
     dec = family_decompose(s, kind)
     config.check_rank(rank)
-    want = 1 if kind == "B" else 0
+    # a member's rows differ in length by |Z1| - 2|M|: the defect-1 (B) or
+    # defect-0 (D) members are those with |M| = d1
     terms = (
-        (fourier_sign(dec, family_decompose(member, kind)), bipartition_from_symbol(kind, member))
-        for member in family_members(kind, dec.Z1, dec.Z2)
-        if rank_defect(member)[1] == want
+        (fourier_sign(dec, m), bipartition_from_symbol(kind, symbol_from_label(m.Z1, m.Z2, m.M)))
+        for m in _family(kind, dec.Z1, dec.Z2)
+        if len(m.M) == dec.d1
     )
     return Fraction(1, 2 ** dec.f) * _trace_sum(terms, br, config=config)
 
@@ -284,7 +289,7 @@ def _family_decompositions(n: int, kind: str, config: Config = NO_LIMITS):
     for r in range(n + 1):
         for fam in enumerate_symbols(r, kind):
             if not fam.degenerate:
-                yield r, fam, [family_decompose(m, kind) for m in fam.members]
+                yield r, fam, _family(kind, fam.Z1, fam.Z2)
 
 
 def involution_check(n: int, kind: str, config: Config = NO_LIMITS) -> VerificationReport:

@@ -112,21 +112,18 @@ def _cmd_family_list(args, config):
 
 
 def _cmd_family_pairing_matrix(args, config):
+    from fractions import Fraction
     from .halflaurent import frac_str
-    from .symbols import _family_key, family_members, pairing, rank_defect, symbol_from_label
+    from .symbols import _family, _family_key, fourier_sign, rank_defect, symbol_from_label
     z1, z2 = tuple(_parse_row(args.Z1, "--Z1")), tuple(_parse_row(args.Z2, "--Z2"))
     _family_key(args.kind, z1, z2)  # a bad key exits 2 before the rank guard
     config.check_rank(rank_defect(symbol_from_label(z1, z2, ()))[0])
-    members = family_members(args.kind, z1, z2)
-    matrix = [
-        [frac_str(pairing(a, b, args.kind)) for b in members]
-        for a in members
-    ]
+    decs = _family(args.kind, z1, z2)
     doc = {
         "Z1": list(z1),
         "Z2": list(z2),
-        "members": [m.to_json_obj() for m in members],
-        "matrix": matrix,
+        "members": [symbol_from_label(d.Z1, d.Z2, d.M).to_json_obj() for d in decs],
+        "matrix": [[frac_str(Fraction(fourier_sign(a, b), 2 ** a.f)) for b in decs] for a in decs],
     }
     return 0, doc
 
@@ -148,35 +145,25 @@ def _cmd_mn_eval(args, config):
     return 0, value.to_json_obj()
 
 
+def _value_doc(fields, cycles, value):
+    from .halflaurent import frac_str
+    return 0, {**fields, "cycles": list(cycles), "value": value.to_json_obj(),
+               "value_at_1": frac_str(value.eval_one())}
+
+
 def _cmd_flambda(args, config):
     from . import almost
-    from .halflaurent import frac_str
     s = _parse_symbol(args)
     cycles = _parse_cycles(args.cycles)
     value = almost.f_lambda(args.kind, s, cycles, config)
-    doc = {
-        "kind": args.kind,
-        "symbol": s.to_json_obj(),
-        "cycles": list(cycles),
-        "value": value.to_json_obj(),
-        "value_at_1": frac_str(value.eval_one()),
-    }
-    return 0, doc
+    return _value_doc({"kind": args.kind, "symbol": s.to_json_obj()}, cycles, value)
 
 
 def _cmd_fab(args, config):
     from . import almost
-    from .halflaurent import frac_str
     cycles = _parse_cycles(args.cycles)
     value = almost.f_ab(args.a, args.b, cycles, config)
-    doc = {
-        "a": args.a,
-        "b": args.b,
-        "cycles": list(cycles),
-        "value": value.to_json_obj(),
-        "value_at_1": frac_str(value.eval_one()),
-    }
-    return 0, doc
+    return _value_doc({"a": args.a, "b": args.b}, cycles, value)
 
 
 def _cmd_verify_nonvanishing(kind):

@@ -157,15 +157,21 @@ def conjugate(p: Partition) -> Partition:
     return tuple(out)
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n with parts at most max_part, largest part first."""
+def _box_partitions(n: int, rows: int, cols: int) -> Iterator[Partition]:
+    """Partitions of n with at most `rows` parts, each at most `cols`, in
+    descending lexicographic order."""
     if n == 0:
         yield ()
-        return
-    top = n if max_part is None else min(n, max_part)
-    for first in range(top, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    elif rows:
+        # the first part is at least n / rows, or the rest cannot fit
+        for first in range(min(n, cols), (n - 1) // rows, -1):
+            for rest in _box_partitions(n - first, rows - 1, first):
+                yield (first,) + rest
+
+
+def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
+    """All partitions of n with parts at most max_part, largest part first."""
+    return _box_partitions(n, n, n if max_part is None else max_part)
 
 
 def bipartitions_of(n: int) -> Iterator[BiPartition]:

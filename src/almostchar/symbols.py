@@ -16,7 +16,10 @@ Z2.  Members are labelled by subsets M of Z1 subject to a parity
 constraint, and the rational pairing between two members is read off
 from their labels relative to the distinguished label M0 of the unique
 special member.  The resulting matrix is an exact involution, which the
-test suite checks rank by rank.
+test suite checks rank by rank.  _family reads every member's
+decomposition off its label, and is the one place that turns labels into
+members: family_members builds their symbols from it, and the family sums
+and checks pair its decompositions without decomposing a symbol again.
 
 Every non-degenerate family has exactly one special member, and that
 member has defect 1 (kind B) or 0 (kind D), so it is the symbol of a
@@ -29,11 +32,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .config import check_int
 from .shapes import (
     BiPartition,
+    _box_partitions,
     bipartitions_of,
     check_kind,
     conjugate,
@@ -153,13 +157,16 @@ class FamilyDecomposition(NamedTuple):
     msharp: frozenset  # M twisted by M0: the symmetric difference M ^ M0
 
 
-def _canonical_label(kind: str, Z1: tuple, raw: frozenset, d1: int) -> tuple:
-    """Pick between a label and its complement in Z1.
+def _member(kind: str, Z1: tuple, Z2: tuple, raw: frozenset) -> FamilyDecomposition:
+    """The decomposition of the member of the family (Z1, Z2) whose label is
+    raw or its complement in Z1.
 
     Kind B keeps the choice with |M| ≡ d1 (mod 2); kind D the one not
     containing min(Z1).  Exactly one of the pair qualifies, and with this
-    normalization the pairing matrix squares to the identity.
+    normalization the pairing matrix squares to the identity.  Here d1 =
+    |Z1| // 2, which is (|Z1| - 1) // 2 for the odd |Z1| of kind B.
     """
+    d1 = len(Z1) // 2
     if kind == "B":
         if len(raw) % 2 != d1 % 2:
             raw = frozenset(Z1) - raw
@@ -168,7 +175,10 @@ def _canonical_label(kind: str, Z1: tuple, raw: frozenset, d1: int) -> tuple:
             raw = frozenset(Z1) - raw
         if len(raw) % 2 != d1 % 2:
             raise ValueError(f"label parity broken for D family on Z1={Z1}")
-    return tuple(sorted(raw))
+    M0 = Z1[1::2]  # every second single, smallest omitted
+    f = d1 if kind == "B" else d1 - 1
+    msharp = raw.symmetric_difference(M0)
+    return FamilyDecomposition(kind, Z1, Z2, tuple(sorted(raw)), M0, d1, f, msharp)
 
 
 def family_decompose(s: Symbol, kind: str) -> FamilyDecomposition:
@@ -179,23 +189,12 @@ def family_decompose(s: Symbol, kind: str) -> FamilyDecomposition:
     ss, ts = set(s.rowS), set(s.rowT)
     if len(ss) != len(s.rowS) or len(ts) != len(s.rowT):
         raise ValueError(f"{s} has a repeated entry in a row")
-    Z2 = tuple(sorted(ss & ts))
+    if kind == "B" and defect % 2 != 1:
+        raise ValueError(f"{s} is not a kind B symbol (defect must be odd)")
+    if kind == "D" and defect % 4 != 0:
+        raise ValueError(f"{s} is not a kind D symbol (defect must be divisible by 4)")
     Z1 = tuple(sorted(ss ^ ts))
-    if kind == "B":
-        if defect % 2 != 1:
-            raise ValueError(f"{s} is not a kind B symbol (defect must be odd)")
-        d1 = (len(Z1) - 1) // 2
-        f = d1
-    else:
-        if defect % 4 != 0:
-            raise ValueError(f"{s} is not a kind D symbol (defect must be divisible by 4)")
-        d1 = len(Z1) // 2
-        f = d1 - 1
-    M = _canonical_label(kind, Z1, ts & set(Z1), d1)
-    M0 = Z1[1::2]  # every second single, smallest omitted
-    return FamilyDecomposition(
-        kind=kind, Z1=Z1, Z2=Z2, M=M, M0=M0, d1=d1, f=f, msharp=frozenset(M) ^ frozenset(M0)
-    )
+    return _member(kind, Z1, tuple(sorted(ss & ts)), frozenset(ts - ss))
 
 
 def symbol_from_label(Z1, Z2, M) -> Symbol:
@@ -209,22 +208,27 @@ def symbol_from_label(Z1, Z2, M) -> Symbol:
     return Symbol(*_order_rows(tuple(sorted(z2 | (z1 - m))), tuple(sorted(z2 | m))))
 
 
-def _labels(kind: str, Z1: tuple) -> Iterator[tuple]:
-    d1 = (len(Z1) - 1) // 2 if kind == "B" else len(Z1) // 2
-    pool = Z1 if kind == "B" else Z1[1:]
-    for size in range(d1 % 2, len(pool) + 1, 2):
-        yield from combinations(pool, size)
-
-
-def family_members(kind: str, Z1, Z2) -> tuple:
-    """All symbols of the family with the given singles and doubles.
+def _family(kind: str, Z1, Z2) -> tuple:
+    """The decomposition of every member of the family with the given
+    singles and doubles, read off its label.
 
     Kind B: labels are the subsets of Z1 of size ≡ d1 (mod 2), giving
     2^(2 d1) members.  Kind D: additionally min(Z1) is excluded, giving
     2^(2 d1 - 2).  Listed by (|M|, M) lexicographically.
     """
     Z1, Z2 = _family_key(kind, Z1, Z2)
-    return tuple(symbol_from_label(Z1, Z2, M) for M in _labels(kind, Z1))
+    pool = Z1 if kind == "B" else Z1[1:]
+    return tuple(
+        _member(kind, Z1, Z2, frozenset(M))
+        for size in range(len(Z1) // 2 % 2, len(pool) + 1, 2)
+        for M in combinations(pool, size)
+    )
+
+
+def family_members(kind: str, Z1, Z2) -> tuple:
+    """All symbols of the family with the given singles and doubles, in
+    _family's order."""
+    return tuple(symbol_from_label(m.Z1, m.Z2, m.M) for m in _family(kind, Z1, Z2))
 
 
 def _family_key(kind: str, Z1, Z2) -> tuple:
@@ -378,18 +382,6 @@ def _box_sides(a: int, b: int) -> None:
     """The one check of box sides: both nonnegative ints."""
     if check_int("a", a) < 0 or check_int("b", b) < 0:
         raise ValueError("box dimensions must be nonnegative")
-
-
-def _box_partitions(n: int, rows: int, cols: int) -> Iterator[tuple]:
-    """Partitions of n with at most `rows` parts, each at most `cols`, in
-    descending lexicographic order."""
-    if n == 0:
-        yield ()
-    elif rows:
-        # the first part is at least n / rows, or the rest cannot fit
-        for first in range(min(n, cols), (n - 1) // rows, -1):
-            for rest in _box_partitions(n - first, rows - 1, first):
-                yield (first,) + rest
 
 
 def _box_partner(alpha: tuple, a: int, b: int) -> tuple:

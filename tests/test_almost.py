@@ -283,6 +283,25 @@ def test_f_lambda_is_the_weighted_sum_of_its_traces():
     assert sums == 2545
 
 
+def test_f_lambda_builds_only_the_members_it_sums(monkeypatch):
+    # of the 2^(2d) members of the cuspidal B family at d, f_lambda builds
+    # the symbols of the C(2d + 1, d) of defect 1 only
+    built = []
+    real = symbols_module.symbol_from_label
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    for module in (almost_module, symbols_module):
+        monkeypatch.setattr(module, "symbol_from_label", counted, raising=False)
+    for d, want in ((2, 10), (3, 35)):
+        built.clear()
+        cuspidal, _ = special_cuspidal("B", d)
+        f_lambda("B", cuspidal, prop_cycles("B", d))
+        assert len(built) == want, d
+
+
 def test_family_sums_hand_over_only_valid_bipartitions(monkeypatch):
     # hecke._trace_sum checks no term, so every term that f_ab or f_lambda
     # builds must be valid by construction: a pair of partition tuples of
@@ -740,14 +759,13 @@ def test_involution_and_m2_checks(monkeypatch):
     assert m2_check(4, "D").passed
 
     # a pairing exponent one too large must fail both integer checks
-    real = symbols_module.family_decompose
+    real = symbols_module._member
 
-    def bumped(s, kind):
-        dec = real(s, kind)
+    def bumped(*args):
+        dec = real(*args)
         return dec._replace(f=dec.f + 1)
 
-    for module in (almost_module, symbols_module):
-        monkeypatch.setattr(module, "family_decompose", bumped)
+    monkeypatch.setattr(symbols_module, "_member", bumped)
     for kind in ("B", "D"):
         assert involution_check(4, kind).verdict == "fail"
         assert m2_check(4, kind).verdict == "fail"

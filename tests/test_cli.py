@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import almostchar
+from almostchar import symbols
 from almostchar.cli import build_parser, main
 
 
@@ -56,6 +57,23 @@ def test_family_list_and_pairing_matrix(capsys):
     obj = json.loads(out)
     assert len(obj["members"]) == 4
     assert len(obj["matrix"]) == 4
+
+
+def test_pairing_matrix_decomposes_no_member(capsys, monkeypatch):
+    # each member's decomposition is read off its label: none is built as a
+    # symbol and then decomposed again (16 members, once 2 * 16^2 calls)
+    calls = []
+    real = symbols.family_decompose
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(symbols, "family_decompose", counted)
+    code, out, _ = run(capsys, ["family", "pairing-matrix", "--kind", "B", "--Z1", "0,1,2,3,4"])
+    assert code == 0
+    assert len(json.loads(out)["members"]) == 16
+    assert calls == []
 
 
 def test_family_involution_check_exit_zero(capsys):

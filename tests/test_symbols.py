@@ -11,6 +11,7 @@ from almostchar.shapes import bipartition, bipartitions_of, conjugate, partition
 from almostchar.symbols import (
     Family,
     Symbol,
+    _family,
     bipartition_from_symbol,
     enumerate_P_ab,
     enumerate_symbols,
@@ -180,6 +181,26 @@ def test_involution_on_small_families():
                     for j in range(len(ms)):
                         got = sum(mat[i][k] * mat[k][j] for k in range(len(ms)))
                         assert got == (1 if i == j else 0), (kind, n, fam.Z1)
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_family_reads_each_member_off_its_label(kind):
+    # the label route gives the decomposition of each member's symbol, and
+    # the defect-1 (B) or defect-0 (D) members are those with |M| = d1
+    want = 1 if kind == "B" else 0
+    members = 0
+    for n in range(9):
+        for fam in enumerate_symbols(n, kind):
+            if fam.degenerate:
+                continue
+            decs = _family(kind, fam.Z1, fam.Z2)
+            symbols = family_members(kind, fam.Z1, fam.Z2)
+            assert decs == tuple(family_decompose(m, kind) for m in symbols), (n, fam.Z1, fam.Z2)
+            for dec, m in zip(decs, symbols):
+                assert (len(dec.M) == dec.d1) == (rank_defect(m)[1] == want), m
+            members += len(decs)
+    # 164 B and 135 D non-degenerate families of rank <= 8
+    assert members == {"B": 581, "D": 249}[kind]
 
 
 # -- enumeration ------------------------------------------------------------
