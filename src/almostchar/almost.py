@@ -1,15 +1,14 @@
 """Family-averaged trace coefficients and the machine-checkable claims.
 
-For a symbol L of rank n and a signed cycle type w, the coefficient
-f_L(w) is the pairing-weighted sum of Hecke traces over the defect-1
-(kind B) or defect-0 (kind D) members of L's family, read off their
-labels by symbols._family: only those members are built as symbols.
-For the cuspidal symbol this sum collapses, up to the constant
-delta_const, to the signed sum f_ab over one rectangle's worth of
-bipartitions; both routes are implemented and compared in the tests.
-Each checks its arguments, then the rank, and streams its (coeff,
-bipartition) terms, valid by construction, to hecke._trace_sum, which
-only sums them.
+For a symbol L of rank n and a signed cycle type w, the coefficient f_L(w)
+is the pairing-weighted sum of Hecke traces over the defect-1 (kind B) or
+defect-0 (kind D) members of L's family, read off their labels by
+symbols._family from a checked key: only those members are built as
+symbols, unchecked.  For the cuspidal symbol this sum collapses, up to the
+constant delta_const, to the signed sum f_ab over one rectangle's worth of
+bipartitions; both routes are implemented and compared in the tests.  Each
+checks its arguments, then the rank, and streams its (coeff, bipartition)
+terms, valid by construction, to hecke._trace_sum, which only sums them.
 
 The checks, each returning a VerificationReport (defined in hecke) that a
 caller can audit from the emitted value alone:
@@ -25,7 +24,7 @@ caller can audit from the emitted value alone:
   loads neither this module nor symbols);
 * involution_check / m2_check: the family pairing matrix squares to the
   identity, and pairing against the m2 multiplicities sums to 1, each
-  over the member decompositions of symbols._family;
+  over one symbols._family per family key (only m2_check builds members);
 * d_swap_diagnostic: reports (without asserting) whether kind D traces
   depend on the component order of the bipartition.
 """
@@ -55,16 +54,16 @@ from .symbols import (
     _box_sides,
     _cuspidal_box,
     _family,
+    _family_keys,
+    _label_symbol,
     bipartition_from_symbol,
     check_kind,
     enumerate_P_ab,
-    enumerate_symbols,
     family_decompose,
     fourier_sign,
     m2_unipotent,
     rank_defect,
     special_cuspidal,
-    symbol_from_label,
 )
 
 __all__ = [
@@ -101,7 +100,7 @@ def f_lambda(kind: str, s: Symbol, cycles, config: Config = NO_LIMITS) -> HalfLa
     # a member's rows differ in length by |Z1| - 2|M|: the defect-1 (B) or
     # defect-0 (D) members are those with |M| = d1
     terms = (
-        (fourier_sign(dec, m), bipartition_from_symbol(kind, symbol_from_label(m.Z1, m.Z2, m.M)))
+        (fourier_sign(dec, m), bipartition_from_symbol(kind, _label_symbol(m.Z1, m.Z2, m.M)))
         for m in _family(kind, dec.Z1, dec.Z2)
         if len(m.M) == dec.d1
     )
@@ -280,16 +279,15 @@ def recursion_check(a: int, b: int, cycles, config: Config = NO_LIMITS) -> Verif
 
 
 def _family_decompositions(n: int, kind: str, config: Config = NO_LIMITS):
-    """(rank, family, member decompositions) for every non-degenerate
-    family of rank at most n."""
+    """(rank, member decompositions) for every non-degenerate family of
+    rank at most n, rank by rank in (Z1, Z2) order: one _family each."""
     check_kind(kind)
     if check_int("n", n) < 0:
         raise ValueError("rank must be nonnegative")
     config.check_rank(n)
     for r in range(n + 1):
-        for fam in enumerate_symbols(r, kind):
-            if not fam.degenerate:
-                yield r, fam, _family(kind, fam.Z1, fam.Z2)
+        for z1, z2 in sorted(_family_keys(r, kind)):
+            yield r, _family(kind, z1, z2)
 
 
 def involution_check(n: int, kind: str, config: Config = NO_LIMITS) -> VerificationReport:
@@ -298,7 +296,7 @@ def involution_check(n: int, kind: str, config: Config = NO_LIMITS) -> Verificat
     t0 = time.monotonic()
     checked = 0
     failures = []
-    for r, fam, decs in _family_decompositions(n, kind, config):
+    for r, decs in _family_decompositions(n, kind, config):
         signs = [[fourier_sign(di, dj) for dj in decs] for di in decs]
         scale = 4 ** decs[0].f
         if any(
@@ -306,7 +304,7 @@ def involution_check(n: int, kind: str, config: Config = NO_LIMITS) -> Verificat
             for i in range(len(signs))
             for j in range(i, len(signs))
         ):
-            failures.append({"rank": r, "Z1": list(fam.Z1), "Z2": list(fam.Z2)})
+            failures.append({"rank": r, "Z1": list(decs[0].Z1), "Z2": list(decs[0].Z2)})
         checked += 1
     return VerificationReport(
         claim="fourier-involution",
@@ -322,10 +320,11 @@ def m2_check(n: int, kind: str, config: Config = NO_LIMITS) -> VerificationRepor
     t0 = time.monotonic()
     checked = 0
     failures = []
-    for r, fam, decs in _family_decompositions(n, kind, config):
-        m2 = [m2_unipotent(m, kind) for m in fam.members]
+    for r, decs in _family_decompositions(n, kind, config):
+        members = [_label_symbol(d.Z1, d.Z2, d.M) for d in decs]
+        m2 = [m2_unipotent(m, kind) for m in members]
         scale = 2 ** decs[0].f
-        for s, ds in zip(fam.members, decs):
+        for s, ds in zip(members, decs):
             total = sum(fourier_sign(ds, dm) * w for dm, w in zip(decs, m2) if w)
             checked += 1
             if total != scale:

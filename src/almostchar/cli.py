@@ -114,15 +114,15 @@ def _cmd_family_list(args, config):
 def _cmd_family_pairing_matrix(args, config):
     from fractions import Fraction
     from .halflaurent import frac_str
-    from .symbols import _family, _family_key, fourier_sign, rank_defect, symbol_from_label
-    z1, z2 = tuple(_parse_row(args.Z1, "--Z1")), tuple(_parse_row(args.Z2, "--Z2"))
-    _family_key(args.kind, z1, z2)  # a bad key exits 2 before the rank guard
-    config.check_rank(rank_defect(symbol_from_label(z1, z2, ()))[0])
-    decs = _family(args.kind, z1, z2)
+    from .symbols import _family, _family_key, _label_symbol, fourier_sign, rank_defect
+    z1, z2 = _parse_row(args.Z1, "--Z1"), _parse_row(args.Z2, "--Z2")
+    key = _family_key(args.kind, z1, z2)  # a bad key exits 2 before the rank guard
+    config.check_rank(rank_defect(_label_symbol(*key, ()))[0])
+    decs = _family(args.kind, *key)
     doc = {
-        "Z1": list(z1),
-        "Z2": list(z2),
-        "members": [symbol_from_label(d.Z1, d.Z2, d.M).to_json_obj() for d in decs],
+        "Z1": z1,
+        "Z2": z2,
+        "members": [_label_symbol(d.Z1, d.Z2, d.M).to_json_obj() for d in decs],
         "matrix": [[frac_str(Fraction(fourier_sign(a, b), 2 ** a.f)) for b in decs] for a in decs],
     }
     return 0, doc

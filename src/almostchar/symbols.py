@@ -16,16 +16,16 @@ Z2.  Members are labelled by subsets M of Z1 subject to a parity
 constraint, and the rational pairing between two members is read off
 from their labels relative to the distinguished label M0 of the unique
 special member.  The resulting matrix is an exact involution, which the
-test suite checks rank by rank.  _family reads every member's
-decomposition off its label, and is the one place that turns labels into
-members: family_members builds their symbols from it, and the family sums
-and checks pair its decompositions without decomposing a symbol again.
+test suite checks rank by rank.  _family_key checks a family key once,
+where it enters; _family reads each member's decomposition off its label,
+and _label_symbol builds its symbol unchecked.  symbol_from_label checks
+a caller's own label.
 
 Every non-degenerate family has exactly one special member, and that
 member has defect 1 (kind B) or 0 (kind D), so it is the symbol of a
 bipartition (Lusztig, *Characters of Reductive Groups over a Finite
 Field*, 1984, ch. 4).  The families of a rank are therefore read off
-the special symbols among the bipartitions of that rank.
+the special symbols among the bipartitions of that rank (_family_keys).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .shapes import (
     check_kind,
     conjugate,
     partition,
+    partitions_of,
 )
 
 __all__ = [
@@ -197,7 +198,8 @@ def family_decompose(s: Symbol, kind: str) -> FamilyDecomposition:
     return _member(kind, Z1, tuple(sorted(ss & ts)), frozenset(ts - ss))
 
 
-def symbol_from_label(Z1, Z2, M) -> Symbol:
+def _check_label(Z1, Z2, M) -> None:
+    """symbol_from_label's checks; with M empty, those of a family key's rows."""
     z1, z2, m = (set(_entries(row)) for row in (Z1, Z2, M))
     if not m <= z1:
         raise ValueError(f"label {M} not a subset of the singles {Z1}")
@@ -205,7 +207,17 @@ def symbol_from_label(Z1, Z2, M) -> Symbol:
         raise ValueError("singles and doubles must be disjoint")
     if 0 in z2:
         raise ValueError("0 cannot be a double of a reduced symbol")
-    return Symbol(*_order_rows(tuple(sorted(z2 | (z1 - m))), tuple(sorted(z2 | m))))
+
+
+def symbol_from_label(Z1, Z2, M) -> Symbol:
+    """The symbol labelled M in the family (Z1, Z2), for a caller's own label."""
+    _check_label(Z1, Z2, M)
+    return _label_symbol(Z1, Z2, M)
+
+
+def _label_symbol(Z1, Z2, M) -> Symbol:
+    """symbol_from_label unchecked, for the labels of a checked key."""
+    return Symbol(*_order_rows(tuple(sorted({*Z1, *Z2} - {*M})), tuple(sorted({*Z2, *M}))))
 
 
 def _family(kind: str, Z1, Z2) -> tuple:
@@ -226,19 +238,20 @@ def _family(kind: str, Z1, Z2) -> tuple:
 
 
 def family_members(kind: str, Z1, Z2) -> tuple:
-    """All symbols of the family with the given singles and doubles, in
-    _family's order."""
-    return tuple(symbol_from_label(m.Z1, m.Z2, m.M) for m in _family(kind, Z1, Z2))
+    """The symbols of the family (Z1, Z2), in _family's order."""
+    return tuple(_label_symbol(m.Z1, m.Z2, m.M) for m in _family(kind, Z1, Z2))
 
 
 def _family_key(kind: str, Z1, Z2) -> tuple:
-    """(Z1, Z2) sorted, once kind and the number of singles fit a family."""
+    """(Z1, Z2) sorted: the one check of a family key, where it enters: the
+    kind, the number of singles, then the rows as symbol_from_label's."""
     check_kind(kind)
     Z1, Z2 = tuple(sorted(Z1)), tuple(sorted(Z2))
     if kind == "B" and len(Z1) % 2 != 1:
         raise ValueError("kind B family needs an odd number of singles")
     if kind == "D" and (len(Z1) % 2 != 0 or not Z1):
         raise ValueError("kind D family needs a nonzero even number of singles")
+    _check_label(Z1, Z2, ())
     return Z1, Z2
 
 
@@ -288,32 +301,30 @@ def _staircase(parts_ascending: tuple, length: int) -> tuple:
     return tuple(p + i for i, p in enumerate(padded))
 
 
-def enumerate_symbols(n: int, kind: str) -> tuple:
-    """All families at rank n, each carrying its full member list.
+def _family_keys(n: int, kind: str):
+    """(Z1, Z2) of each non-degenerate family of rank n, read off its
+    special symbol; kind D takes each pair {alpha != beta} once."""
+    for bp in bipartitions_of(n):
+        if kind == "D" and bp.alpha <= bp.beta:
+            continue
+        s = symbol_from_bipartition(kind, bp)
+        if is_special(s):
+            yield family_decompose(s, kind)[1:3]
 
-    Each non-degenerate family is read off its one special member, which
-    is the defect-1 (kind B) or defect-0 (kind D) symbol of a bipartition
-    of n.  Kind D takes each unordered pair {alpha, beta} once; alpha =
-    beta gives a degenerate symbol, which comes back as a flagged
-    singleton family.  Families are sorted by (Z1, Z2).
-    """
+
+def enumerate_symbols(n: int, kind: str) -> tuple:
+    """All families at rank n with their members, sorted by (Z1, Z2); kind
+    D adds each pair (alpha, alpha)'s degenerate symbol as a singleton."""
     check_kind(kind)
     if check_int("n", n) < 0:
         raise ValueError("rank must be nonnegative")
-    families = []
-    for bp in bipartitions_of(n):
-        if kind == "D" and bp.alpha < bp.beta:
-            continue
-        s = symbol_from_bipartition(kind, bp)
-        if kind == "D" and bp.alpha == bp.beta:
-            families.append(Family(kind=kind, Z1=(), Z2=s.rowS, degenerate=True, members=(s,)))
-        elif is_special(s):
-            z1, z2 = family_decompose(s, kind)[1:3]
-            families.append(
-                Family(kind=kind, Z1=z1, Z2=z2, degenerate=False, members=family_members(kind, z1, z2))
-            )
-    families.sort(key=lambda fam: (fam.Z1, fam.Z2))
-    return tuple(families)
+    families = [Family(kind, z1, z2, degenerate=False, members=family_members(kind, z1, z2))
+                for z1, z2 in _family_keys(n, kind)]
+    if kind == "D" and n % 2 == 0:
+        for alpha in partitions_of(n // 2):
+            s = symbol_from_bipartition(kind, BiPartition(alpha, alpha))
+            families.append(Family(kind, (), s.rowS, degenerate=True, members=(s,)))
+    return tuple(sorted(families, key=lambda fam: (fam.Z1, fam.Z2)))
 
 
 # ---------------------------------------------------------------------------

@@ -287,14 +287,14 @@ def test_f_lambda_builds_only_the_members_it_sums(monkeypatch):
     # of the 2^(2d) members of the cuspidal B family at d, f_lambda builds
     # the symbols of the C(2d + 1, d) of defect 1 only
     built = []
-    real = symbols_module.symbol_from_label
+    real = symbols_module._label_symbol
 
     def counted(*args):
         built.append(args)
         return real(*args)
 
     for module in (almost_module, symbols_module):
-        monkeypatch.setattr(module, "symbol_from_label", counted, raising=False)
+        monkeypatch.setattr(module, "_label_symbol", counted, raising=False)
     for d, want in ((2, 10), (3, 35)):
         built.clear()
         cuspidal, _ = special_cuspidal("B", d)
@@ -769,6 +769,33 @@ def test_involution_and_m2_checks(monkeypatch):
     for kind in ("B", "D"):
         assert involution_check(4, kind).verdict == "fail"
         assert m2_check(4, kind).verdict == "fail"
+
+
+def test_the_family_checks_build_each_family_once(monkeypatch):
+    # the sweeps walk the family keys and read each family off _family once;
+    # the involution check builds no member symbol, and no member symbol
+    # goes back through symbol_from_label's checks
+    calls = {"_family": 0, "_label_symbol": 0, "symbol_from_label": 0}
+
+    def counted(name):
+        real = getattr(symbols_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        for module in (almost_module, symbols_module):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+    assert involution_check(8, "B").passed
+    # 164 families of rank <= 8 with 581 members
+    assert calls == {"_family": 164, "_label_symbol": 0, "symbol_from_label": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    assert m2_check(10, "B").passed
+    assert calls["_family"] == 385 and calls["symbol_from_label"] == 0
 
 
 def test_d_swap_diagnostic():

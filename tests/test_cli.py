@@ -163,10 +163,16 @@ def test_a_bad_bipartition_exits_two_before_the_rank_guard(capsys):
          "kind B family needs an odd number of singles"),
         (["family", "pairing-matrix", "--kind", "D", "--Z1", "0,5,10,15,20"],
          "kind D family needs a nonzero even number of singles"),
+        # family keys of rank 2 whose rows name no family
+        (["family", "pairing-matrix", "--kind", "B", "--Z1", "1,2,3", "--Z2", "0",
+          "--max-rank", "1"], "0 cannot be a double of a reduced symbol"),
+        (["family", "pairing-matrix", "--kind", "B", "--Z1", "0,1,2", "--Z2", "1",
+          "--max-rank", "1"], "singles and doubles must be disjoint"),
     ],
 )
 def test_bad_input_exits_two_before_the_rank_guard(capsys, argv, message):
-    # each input is past --max-rank 20 too, but it is checked first
+    # each input is past --max-rank (20, or the 1 it gives) too, but it is
+    # checked first
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert message in err

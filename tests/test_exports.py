@@ -118,6 +118,23 @@ def test_only_hecke_sums_chains_and_applies_the_prefactor():
                      ("hecke", "chain_sum", "chain_sum")}
 
 
+def test_only_symbols_calls_symbol_from_label():
+    # symbol_from_label checks a caller's own label; the package builds its
+    # members through _label_symbol from a key that _family_key checked, so
+    # no member goes back through the per-member check
+    def callers(name):
+        return {
+            path.stem
+            for path in sorted(Path(almostchar.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        }
+
+    assert callers("symbol_from_label") <= {"symbols"}
+    assert callers("_label_symbol") == {"almost", "cli", "symbols"}
+
+
 def test_the_runtime_imports_only_the_standard_library():
     # every import in the package is relative or names a stdlib module,
     # whether it sits at module level or inside a function

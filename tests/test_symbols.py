@@ -169,6 +169,23 @@ def test_a_family_label_refuses_the_entries_shift_canonicalize_refuses(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "Z1, Z2, message",
+    [
+        ((0, 1, 2), (1,), "singles and doubles must be disjoint"),
+        ((1, 2, 3), (0,), "0 cannot be a double of a reduced symbol"),
+        ((-1, 0, 1), (), "symbol entries must be nonnegative"),
+    ],
+)
+def test_family_refuses_a_key_that_names_no_family(Z1, Z2, message):
+    # these keys once gave four decompositions each; the key is checked
+    # where it enters, with symbol_from_label's messages
+    with pytest.raises(ValueError, match=message):
+        _family("B", Z1, Z2)
+    with pytest.raises(ValueError, match=message):
+        symbol_from_label(Z1, Z2, ())
+
+
 def test_involution_on_small_families():
     for kind, n_max in (("B", 6), ("D", 6)):
         for n in range(n_max + 1):
