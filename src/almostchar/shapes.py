@@ -13,9 +13,9 @@ Conventions used throughout the package:
 A border strip is a connected skew diagram containing no 2x2 block of
 cells; a broken border strip is a disjoint union of border strips, which
 for a skew diagram is the same as containing no 2x2 block at all.  The
-statistics delta (broken strips) and delta_bar (single strips, decorated
-with content factors at sharp and dull corners) are the building blocks of
-the character recursions in the hecke module.
+statistics delta (broken strips) and delta_bar (single strips, scored by
+the content of the strip's head) are the building blocks of the character
+recursions in the hecke module.
 
 Both statistics are computed from the rows alone, by these rules (a
 side's statistics are m, the number of components, joins, the number of
@@ -28,10 +28,16 @@ adjacent rows that share a column, and e, the exponent of u^(1/2)):
   their rim, outer_i + (number of rows) - i - 1 cells (the hook length of
   the row's first cell), with no 2x2 block, and every size from 0 to the
   rim of outer occurs (checked for every partition of n <= 14);
-* corner rule: in one border strip, the sharp corners (no cell above, none
-  to the left) are the first cell of the top row and the first cell of
-  every other row of length >= 2; the dull corners (a cell above and one to
-  the left) are the last cell of every non-top row of length >= 2.
+* head rule: a border strip of m cells in r rows, whose head is the last
+  cell of its top row, has delta_bar = (-1)^(r-1) u^(-(m-1)/2) ct(head).
+  By definition delta_bar is delta, (-1)^(r-1) u^((m-2r+1)/2), times the
+  content of each sharp corner (no cell above, none to the left) over
+  that of each dull one (cells above and to the left).  The top row's
+  first cell is its one corner, sharp, of content ct(head) u^(1-l) for a
+  top row of length l; each other row of length l >= 2 has one sharp and
+  one dull corner, whose contents differ by u^(l-1) and whose signs
+  cancel; a row of length 1 has none.  So the corners give ct(head)
+  u^(r-m), and one sign survives: sharp corners outnumber dull ones by one.
 
 The strip enumerators score their removals without building a skew
 shape: the walk that finds a side's inners of one size gathers each
@@ -169,9 +175,9 @@ def _box_partitions(n: int, rows: int, cols: int) -> Iterator[Partition]:
                 yield (first,) + rest
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n with parts at most max_part, largest part first."""
-    return _box_partitions(n, n, n if max_part is None else max_part)
+def partitions_of(n: int) -> Iterator[Partition]:
+    """All partitions of n, largest part first."""
+    return _box_partitions(n, n, n)
 
 
 def bipartitions_of(n: int) -> Iterator[BiPartition]:
@@ -236,13 +242,13 @@ def delta(x: SkewBiShape) -> HalfLaurent:
 
 
 def delta_bar(x: SkewBiShape, kind: str) -> HalfLaurent:
-    """Single-strip statistic with content factors at the corners.
+    """Single-strip statistic, by the head rule.
 
-    Nonzero only when the whole shape is one connected border strip:
-    (u^(1/2))^(c-1) * (-u^(-1/2))^(r-1) * prod over dull corners of 1/ct
-    * prod over sharp corners of ct, a single monomial.  The corners come
-    from the corner rule; ct is the content monomial of the cell (i, j):
-    u^(j-i+1) on alpha (u^(j-i) for kind D) and -u^(j-i) on beta.
+    Nonzero only when the whole shape is one connected border strip, of m
+    cells in r rows: (-1)^(r-1) * u^(-(m-1)/2) * ct(head), a single
+    monomial, the head being the last cell of the top row.  ct is the
+    content monomial of the cell (i, j): u^(j-i+1) on alpha (u^(j-i) for
+    kind D) and -u^(j-i) on beta.
     """
     check_kind(kind)
     a = _side_stats(x.outer.alpha, x.inner.alpha)
@@ -258,23 +264,15 @@ def _strip_value(
     outer: Partition, inner: Partition, stats: tuple, shift: int, coeff: int
 ) -> HalfLaurent:
     """delta_bar of the one border strip outer/inner on one side, whose
-    _side_stats are stats, by the corner rule; the side's content of cell
-    (i, j) is coeff * u^(j-i+shift)."""
+    _side_stats are stats, by the head rule; the side's content of cell
+    (i, j) is coeff * u^(j-i+shift).  Row t + 1 is the top row, and m - 1
+    is e + 2 * joins."""
     _, joins, e = stats
-    sign = -1 if joins & 1 else 1
-    top = True
-    for i, o in enumerate(outer):  # row i + 1, cells in columns left + 1 .. o
-        left = inner[i] if i < len(inner) else 0
-        if o == left:
-            continue
-        if top or o - left >= 2:  # sharp corner (i+1, left+1): times u^(left-i+shift)
-            e += 2 * (left - i + shift)
-            sign *= coeff
-        if not top and o - left >= 2:  # dull corner (i+1, o): over u^(o-i-1+shift)
-            e -= 2 * (o - i - 1 + shift)
-            sign *= coeff
-        top = False
-    return _delta_bar_value(e, sign)
+    t = 0
+    while t < len(inner) and inner[t] == outer[t]:
+        t += 1
+    return _delta_bar_value(2 * (outer[t] - t + shift - joins - 1) - e,
+                            -coeff if joins & 1 else coeff)
 
 
 @lru_cache(maxsize=None)
@@ -386,8 +384,8 @@ def single_strip_removals(
     only removals with delta_bar != 0, and the broken strips whose delta
     does not vanish at u = 1 (a strip of one component has no factor U).
     A side is walked only when m is within its rim, so no walk comes back
-    empty; its inners with one component are scored by the corner rule,
-    or for kind None by _delta_value(1, parity of joins, e).
+    empty; its inners with one component are scored by the head rule, or
+    for kind None by _delta_value(1, parity of joins, e).
     """
     if kind is not None:
         check_kind(kind)

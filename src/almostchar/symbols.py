@@ -134,12 +134,8 @@ def is_special(s: Symbol) -> bool:
 
 
 def _alternating(x: tuple, y: tuple) -> bool:
-    merged = []
-    for i, v in enumerate(y):
-        merged.append(x[i])
-        merged.append(v)
-    merged.extend(x[len(y):])
-    return all(merged[i] <= merged[i + 1] for i in range(len(merged) - 1))
+    """x_0 <= y_0 <= x_1 <= y_1 <= ..., read pairwise, for |x| - |y| in {0, 1}."""
+    return all(a <= b for a, b in zip(x, y)) and all(b <= a for b, a in zip(y, x[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +161,14 @@ def _member(kind: str, Z1: tuple, Z2: tuple, raw: frozenset) -> FamilyDecomposit
     Kind B keeps the choice with |M| ≡ d1 (mod 2); kind D the one not
     containing min(Z1).  Exactly one of the pair qualifies, and with this
     normalization the pairing matrix squares to the identity.  Here d1 =
-    |Z1| // 2, which is (|Z1| - 1) // 2 for the odd |Z1| of kind B.
+    |Z1| // 2, which is (|Z1| - 1) // 2 for the odd |Z1| of kind B.  A kind
+    D label has |M| ≡ d1 (mod 2) too: _family builds only such labels,
+    leaving out min(Z1), and family_decompose's defect ≡ 0 (mod 4) makes
+    |T - S| ≡ d1, so complementing in the even-sized Z1 keeps the parity.
     """
     d1 = len(Z1) // 2
-    if kind == "B":
-        if len(raw) % 2 != d1 % 2:
-            raw = frozenset(Z1) - raw
-    else:
-        if Z1 and min(Z1) in raw:
-            raw = frozenset(Z1) - raw
-        if len(raw) % 2 != d1 % 2:
-            raise ValueError(f"label parity broken for D family on Z1={Z1}")
+    if (kind == "B" and len(raw) % 2 != d1 % 2) or (kind == "D" and Z1[0] in raw):
+        raw = frozenset(Z1) - raw
     M0 = Z1[1::2]  # every second single, smallest omitted
     f = d1 if kind == "B" else d1 - 1
     msharp = raw.symmetric_difference(M0)
@@ -201,6 +194,8 @@ def family_decompose(s: Symbol, kind: str) -> FamilyDecomposition:
 def _check_label(Z1, Z2, M) -> None:
     """symbol_from_label's checks; with M empty, those of a family key's rows."""
     z1, z2, m = (set(_entries(row)) for row in (Z1, Z2, M))
+    if len(z1) != len(Z1) or len(z2) != len(Z2):
+        raise ValueError(f"a family key row repeats an entry: singles {Z1}, doubles {Z2}")
     if not m <= z1:
         raise ValueError(f"label {M} not a subset of the singles {Z1}")
     if z1 & z2:

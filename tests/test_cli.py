@@ -468,6 +468,17 @@ def test_readme_command_lines_parse():
         assert callable(parser.parse_args(argv[1:]).func), argv
 
 
+def test_readme_library_block_prints_what_its_comments_say():
+    # the README's "Library" block, run as it stands in a fresh interpreter
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(Path(almostchar.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "u\nfail\n"
+
+
 def test_enumerate_pab(capsys):
     _, pos, _ = run(capsys, ["enumerate", "pab", "2", "2", "--no-timing"])
     assert len(json.loads(pos)) == 6

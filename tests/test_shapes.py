@@ -196,6 +196,24 @@ def test_closed_forms_match_cells_up_to_rank_7():
     assert seen == 4006
 
 
+def test_head_rule_matches_cells_on_every_strip_up_to_rank_12():
+    # every one-component strip of every partition of n <= 12, on alpha and
+    # on beta, for both kinds: the head rule against the corner rule of the
+    # cell oracle, through delta_bar and through the enumerator's score
+    seen = 0
+    for n in range(1, 13):
+        for p in partitions_of(n):
+            for outer in (BiPartition(p, ()), BiPartition((), p)):
+                for m in range(1, n + 1):
+                    for kind in ("B", "D"):
+                        for inner, value in single_strip_removals(outer, m, kind):
+                            shape = SkewBiShape(outer, inner)
+                            want = delta_bar_from_cells(shape, kind)
+                            assert value == delta_bar(shape, kind) == want, (shape, kind)
+                            seen += 1
+    assert seen == 10584
+
+
 def test_no_2x2_inners_match_filtered_sub_partitions():
     # the walk's inners are the filtered sub-partitions in sorted order, and
     # the statistics it gathers on the way are those of _side_stats

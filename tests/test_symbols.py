@@ -65,6 +65,39 @@ def test_canonicalize_is_idempotent_on_random_rows(s, t):
     assert first == again
 
 
+def _interleaves(x, y):
+    """The merged-sequence definition: x_0, y_0, x_1, y_1, ..., then what is
+    left of x, is weakly increasing."""
+    merged = [v for pair in zip(x, y) for v in pair] + list(x[len(y):])
+    return merged == sorted(merged)
+
+
+@st.composite
+def symbol_rows(draw):
+    """Two symbol rows; half the draws deal one sorted run out in turn, so
+    that rows which interleave are well represented."""
+    if draw(st.booleans()):
+        run = sorted(draw(st.lists(st.integers(min_value=0, max_value=12), max_size=9)))
+        return run[::2], run[1::2]
+    row = st.sets(st.integers(min_value=0, max_value=12), max_size=5)
+    return draw(row), draw(row)
+
+
+@given(symbol_rows())
+def test_is_special_is_the_merged_sequence_rule(rows):
+    # defect 1: the longer row, stored first, interleaves with the other;
+    # defect 0: one of the two row orders interleaves; no other defect
+    s = shift_canonicalize(*rows)
+    x, y = s
+    if len(x) - len(y) == 1:
+        want = _interleaves(x, y)
+    elif len(x) == len(y):
+        want = _interleaves(x, y) or _interleaves(y, x)
+    else:
+        want = False
+    assert is_special(s) == want, s
+
+
 # -- rank and defect --------------------------------------------------------
 
 
@@ -175,11 +208,14 @@ def test_a_family_label_refuses_the_entries_shift_canonicalize_refuses(call):
         ((0, 1, 2), (1,), "singles and doubles must be disjoint"),
         ((1, 2, 3), (0,), "0 cannot be a double of a reduced symbol"),
         ((-1, 0, 1), (), "symbol entries must be nonnegative"),
+        ((0, 0, 1), (), "a family key row repeats an entry"),
+        ((0, 1, 2), (3, 3), "a family key row repeats an entry"),
     ],
 )
 def test_family_refuses_a_key_that_names_no_family(Z1, Z2, message):
-    # these keys once gave four decompositions each; the key is checked
-    # where it enters, with symbol_from_label's messages
+    # these keys once gave four decompositions each (a repeated single gave
+    # three copies of one symbol); the key is checked where it enters, with
+    # symbol_from_label's messages
     with pytest.raises(ValueError, match=message):
         _family("B", Z1, Z2)
     with pytest.raises(ValueError, match=message):
