@@ -42,9 +42,10 @@ At u = 1 (u^(1/2) = 1, so U = 0) a trace specializes to a character
 value of the Weyl group (Tits deformation), and _traces_at_one computes
 it in integers, over a table per step that keeps only the removals whose
 factor is nonzero at u = 1 (for a plain step, the strips of one
-component), each valued +-1.  The orthogonality report is the one caller
-that reads these tables many times, so it keeps them for its own run, and
-the memo budget counts them.
+component), each valued +-1.  Both kinds of step read the barred scores:
+a plain strip's sign is the barred one, negated in beta.  The
+orthogonality report is the one caller that reads these tables many
+times, so it keeps them for its own run, and the memo budget counts them.
 
 The module also carries the small self-check oracles: class
 representatives and centralizer orders for the signed permutation group,
@@ -155,13 +156,16 @@ def _removal_table_at_one(outer: BiPartition, size: int, bar_kind: str | None) -
     bar_kind) whose factor is nonzero at u = 1, each with that value, +-1.
 
     U vanishes at u = 1, so a plain step keeps only the strips of one
-    component, which single_strip_removals yields with kind None, scored by
-    delta; a barred step keeps every strip, as MNContext.chain_sum sums
-    them.  Each value is the factor's eval_one().
+    component: the strips a barred step keeps, all of which
+    MNContext.chain_sum sums.  Both read single_strip_removals (kind B for
+    a plain step): at u = 1 a strip of r rows has delta_bar (-1)^(r-1) on
+    alpha and -(-1)^(r-1) on beta, for kinds B and D alike, and delta
+    (-1)^(r-1) on either side, so a plain step negates the strips in beta.
     """
+    beta_sign = -1 if bar_kind is None else 1
     return tuple(
-        (inner, factor.eval_one())
-        for inner, factor in single_strip_removals(outer, size, bar_kind)
+        (inner, factor.eval_one() * (beta_sign if inner.beta != outer.beta else 1))
+        for inner, factor in single_strip_removals(outer, size, bar_kind or "B")
     )
 
 

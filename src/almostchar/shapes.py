@@ -42,9 +42,10 @@ adjacent rows that share a column, and e, the exponent of u^(1/2)):
 The strip enumerators score their removals without building a skew
 shape: the walk that finds a side's inners of one size gathers each
 inner's statistics as it chooses the rows, and a removal is scored from
-the triples of its two sides.  delta and delta_bar score an arbitrary
-skew shape by one scan of its rows (_side_stats), which the tests also
-hold the walk to.
+the triples of its two sides.  Every value comes from one interning
+cache, _delta_value(m, parity, e); a single strip's monomial is its m = 1
+entry.  delta and delta_bar score an arbitrary skew shape by one scan of
+its rows (_side_stats), which the tests also hold the walk to.
 
 A slower, cell-based version of both statistics and of the removal
 enumeration lives in tests/cells.py, as the tests' independent oracle for
@@ -56,7 +57,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .halflaurent import HalfLaurent, ONE, U, ZERO, _from_clean, half_power
+from .halflaurent import HalfLaurent, ONE, U, ZERO, half_power
 
 __all__ = [
     "Partition",
@@ -265,20 +266,13 @@ def _strip_value(
 ) -> HalfLaurent:
     """delta_bar of the one border strip outer/inner on one side, whose
     _side_stats are stats, by the head rule; the side's content of cell
-    (i, j) is coeff * u^(j-i+shift).  Row t + 1 is the top row, and m - 1
-    is e + 2 * joins."""
+    (i, j) is coeff * u^(j-i+shift), coeff = +-1.  Row t + 1 is the top
+    row, m - 1 is e + 2 * joins, and the monomial is _delta_value's at m = 1."""
     _, joins, e = stats
     t = 0
     while t < len(inner) and inner[t] == outer[t]:
         t += 1
-    return _delta_bar_value(2 * (outer[t] - t + shift - joins - 1) - e,
-                            -coeff if joins & 1 else coeff)
-
-
-@lru_cache(maxsize=None)
-def _delta_bar_value(e: int, sign: int) -> HalfLaurent:
-    """sign * u^(e/2), one shared value per key."""
-    return _from_clean({e: sign})
+    return _delta_value(1, (joins + (coeff < 0)) & 1, 2 * (outer[t] - t + shift - joins - 1) - e)
 
 
 # ---------------------------------------------------------------------------
@@ -374,21 +368,18 @@ def broken_strip_removals(
 
 
 def single_strip_removals(
-    outer: BiPartition, m: int, kind: str | None
+    outer: BiPartition, m: int, kind: str
 ) -> Iterator[tuple[BiPartition, HalfLaurent]]:
     """(inner, delta_bar) for every inner bipartition whose difference with
-    outer is one connected border strip of size m; with kind None, (inner,
-    delta) for the same strips.
+    outer is one connected border strip of size m.
 
     The strip lives entirely in alpha or entirely in beta; these are the
     only removals with delta_bar != 0, and the broken strips whose delta
     does not vanish at u = 1 (a strip of one component has no factor U).
     A side is walked only when m is within its rim, so no walk comes back
-    empty; its inners with one component are scored by the head rule, or
-    for kind None by _delta_value(1, parity of joins, e).
+    empty; its inners with one component are scored by the head rule.
     """
-    if kind is not None:
-        check_kind(kind)
+    check_kind(kind)
     if m == 0:
         return
     alpha, beta = outer
@@ -396,12 +387,8 @@ def single_strip_removals(
         shift = 1 if kind == "B" else 0
         for ia, stats in _no_2x2_inners(alpha, m):
             if stats[0] == 1:
-                yield BiPartition(ia, beta), (
-                    _strip_value(alpha, ia, stats, shift, 1) if kind
-                    else _delta_value(1, stats[1] & 1, stats[2]))
+                yield BiPartition(ia, beta), _strip_value(alpha, ia, stats, shift, 1)
     if m <= _rim(beta):
         for ib, stats in _no_2x2_inners(beta, m):
             if stats[0] == 1:
-                yield BiPartition(alpha, ib), (
-                    _strip_value(beta, ib, stats, 0, -1) if kind
-                    else _delta_value(1, stats[1] & 1, stats[2]))
+                yield BiPartition(alpha, ib), _strip_value(beta, ib, stats, 0, -1)

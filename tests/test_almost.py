@@ -418,8 +418,7 @@ def test_trace_engine_runs_without_the_cell_oracle():
         ]
 
     want = reports()
-    for cached in ("_delta_value", "_delta_bar_value"):
-        getattr(shapes_module, cached).cache_clear()
+    shapes_module._delta_value.cache_clear()
     assert reports() == want
 
 
@@ -446,7 +445,7 @@ def test_strip_enumeration_asks_only_for_sizes_a_side_can_supply(monkeypatch):
                 for removals in (
                     shapes_module.broken_strip_removals(outer, size),
                     *(shapes_module.single_strip_removals(outer, size, kind)
-                      for kind in (None, "B", "D")),
+                      for kind in ("B", "D")),
                 ):
                     walked.clear()
                     for _ in removals:

@@ -64,10 +64,10 @@ def test_every_name_the_package_imports_resolves():
 
 
 #: every module-level functools cache, by the module that defines it; the
-#: README names these two, which intern strip values under small integer
+#: README names the one, which interns strip values under small integer
 #: keys.  No cache is keyed by a bipartition
 CACHES = {
-    "shapes": {"_delta_value", "_delta_bar_value"},
+    "shapes": {"_delta_value"},
     "hecke": set(),
     "symbols": set(),
     "almost": set(),

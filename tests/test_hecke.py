@@ -623,6 +623,34 @@ def test_removal_table_at_one_is_the_nonzero_part_of_the_table_at_one():
     assert tables == 10_128
 
 
+@st.composite
+def outers_past_rank_8(draw):
+    """An outer bipartition of rank 9 to 14, split at random between its
+    sides."""
+    n = draw(st.integers(9, 14))
+    k = draw(st.integers(0, n))
+    return BiPartition(draw(st.sampled_from(list(partitions_of(k)))),
+                       draw(st.sampled_from(list(partitions_of(n - k)))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(outers_past_rank_8())
+def test_removal_table_at_one_past_rank_8(outer):
+    # plain tables read the barred scores with beta negated, so hold them
+    # to the step's exact enumerator past the exhaustive test's rank 8
+    for size in range(1, outer.size + 2):
+        for bar_kind in (None, "B", "D"):
+            if bar_kind is None:
+                removals = broken_strip_removals(outer, size)
+            else:
+                removals = single_strip_removals(outer, size, bar_kind)
+            want = {i: f.eval_one() for i, f in removals if f.eval_one()}
+            at_one = hecke_module._removal_table_at_one(outer, size, bar_kind)
+            assert dict(at_one) == want, (outer, size, bar_kind)
+            assert len(at_one) == len(want)
+            assert all(abs(v) == 1 for _, v in at_one)
+
+
 def test_chain_at_one_is_the_trace_at_one():
     # every B class and every admissible D list against every bipartition
     # of rank <= 6 that mn_trace accepts, through one context per element

@@ -305,6 +305,14 @@ def test_pruned_single_strip_enumeration_matches_filtered_naive(case):
         assert list(single_strip_removals(outer, m, kind)) == want, kind
 
 
+@pytest.mark.parametrize("kind", [None, "C", ""])
+def test_single_strip_enumeration_refuses_a_kind_that_is_not_b_or_d(kind):
+    # single strips are scored by delta_bar, which needs a kind; a plain
+    # step at u = 1 reads kind B's scores (hecke._removal_table_at_one)
+    with pytest.raises(ValueError, match="kind must be"):
+        next(single_strip_removals(bp((2, 1), (1,)), 1, kind))
+
+
 @given(st.tuples(partitions_strategy, partitions_strategy))
 def test_single_box_removals_count_corners(pair):
     outer = BiPartition(*pair)
