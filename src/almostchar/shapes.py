@@ -39,25 +39,25 @@ adjacent rows that share a column, and e, the exponent of u^(1/2)):
   cancel; a row of length 1 has none.  So the corners give ct(head)
   u^(r-m), and one sign survives: sharp corners outnumber dull ones by one.
 
-The strip enumerators score their removals without building a skew
-shape: the walk that finds a side's inners of one size gathers each
-inner's statistics as it chooses the rows, and a removal is scored from
-the triples of its two sides.  Every value comes from one interning
-cache, _delta_value(m, parity, e); a single strip's monomial is its m = 1
-entry.  delta and delta_bar score an arbitrary skew shape by one scan of
-its rows (_side_stats), which the tests also hold the walk to.
+The strip enumerators are the one scorer, and delta and delta_bar read
+their values off them.  The walk that finds a side's inners of one size
+gathers each inner's statistics as it chooses the rows, and a removal is
+scored from the triples of its two sides.  Every value comes from one
+interning cache, _delta_value(m, parity, e); a single strip's monomial is
+its m = 1 entry.
 
-A slower, cell-based version of both statistics and of the removal
-enumeration lives in tests/cells.py, as the tests' independent oracle for
-these closed forms; nothing in the package calls it.
+A scan of the rows by these rules, and a slower, cell-based version of
+both statistics and of the removal enumeration, live in tests/cells.py as
+the tests' independent oracles; nothing in the package calls them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from typing import Iterator, NamedTuple
 
-from .halflaurent import HalfLaurent, ONE, U, ZERO, half_power
+from .halflaurent import HalfLaurent, ONE, ZERO
 
 __all__ = [
     "Partition",
@@ -166,14 +166,18 @@ def conjugate(p: Partition) -> Partition:
 
 def _box_partitions(n: int, rows: int, cols: int) -> Iterator[Partition]:
     """Partitions of n with at most `rows` parts, each at most `cols`, in
-    descending lexicographic order."""
+    descending lexicographic order, one level of recursion per distinct
+    part: k copies of the largest, most copies first, then smaller parts."""
     if n == 0:
         yield ()
     elif rows:
         # the first part is at least n / rows, or the rest cannot fit
         for first in range(min(n, cols), (n - 1) // rows, -1):
-            for rest in _box_partitions(n - first, rows - 1, first):
-                yield (first,) + rest
+            for k in range(min(n // first, rows), 0, -1):
+                if n - k * first > (rows - k) * (first - 1):
+                    break  # the rest cannot fit, nor with fewer copies
+                for rest in _box_partitions(n - k * first, rows - k, first - 1):
+                    yield (first,) * k + rest
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -194,52 +198,21 @@ def bipartitions_of(n: int) -> Iterator[BiPartition]:
 # ---------------------------------------------------------------------------
 
 
-def _side_stats(outer: Partition, inner: Partition) -> tuple[int, int, int] | None:
-    """(m, sum of (r-1), sum of (cells - 2r + 1)) over the m components of
-    one side outer/inner, each of r rows; None if the side has a 2x2 block.
-
-    One pass over the rows by the row criterion.  A border strip of r rows
-    spans c = cells - r + 1 columns, so the last entry is the sum of
-    (c-1) - (r-1), the exponent of u^(1/2) in delta.  The strip enumerators
-    do not call it: their walk gathers the same triple row by row.
-    """
-    rows = joins = cells = 0
-    last = len(outer) - 1
-    for i, o in enumerate(outer):
-        left = inner[i] if i < len(inner) else 0
-        if o > left:
-            rows += 1
-            cells += o - left
-        if i < last:
-            shared = outer[i + 1] - left  # columns that rows i and i+1 share
-            if shared > 1:
-                return None
-            if shared == 1:
-                joins += 1
-    return rows - joins, joins, cells - rows - joins
-
-
 @lru_cache(maxsize=None)
 def _delta_value(m: int, odd: int, e: int) -> HalfLaurent:
-    """(-1)^odd * u^(e/2) * U^(m-1), one shared value per key."""
-    return half_power(e, -1 if odd else 1) * U ** (m - 1)
+    """(-1)^odd * u^(e/2) * U^(m-1), one shared value per key, with U^(m-1)
+    expanded as the sum over j of (-1)^j C(m-1, j) u^((m-1-2j)/2)."""
+    return HalfLaurent({e + m - 1 - 2 * j: (-1) ** (odd + j) * comb(m - 1, j) for j in range(m)})
 
 
 def delta(x: SkewBiShape) -> HalfLaurent:
     """U^(m-1) * prod over components of (u^(1/2))^(c-1) * (-u^(-1/2))^(r-1).
 
     That is (-1)^(sum of r-1) * u^(e/2) * U^(m-1) with e the sum of
-    (c-1) - (r-1).  Zero unless the shape is a broken border strip, one on
-    the empty shape.  m is the number of connected components.
+    (c-1) - (r-1), m the number of components: zero unless a broken border
+    strip, one on the empty shape.  One broken_strip_removals per call.
     """
-    a = _side_stats(x.outer.alpha, x.inner.alpha)
-    b = _side_stats(x.outer.beta, x.inner.beta)
-    if a is None or b is None:
-        return ZERO
-    m = a[0] + b[0]
-    if m == 0:
-        return ONE
-    return _delta_value(m, (a[1] + b[1]) & 1, a[2] + b[2])
+    return dict(broken_strip_removals(x.outer, x.size)).get(x.inner, ZERO)
 
 
 def delta_bar(x: SkewBiShape, kind: str) -> HalfLaurent:
@@ -249,23 +222,16 @@ def delta_bar(x: SkewBiShape, kind: str) -> HalfLaurent:
     cells in r rows: (-1)^(r-1) * u^(-(m-1)/2) * ct(head), a single
     monomial, the head being the last cell of the top row.  ct is the
     content monomial of the cell (i, j): u^(j-i+1) on alpha (u^(j-i) for
-    kind D) and -u^(j-i) on beta.
+    kind D) and -u^(j-i) on beta.  One single_strip_removals per call.
     """
-    check_kind(kind)
-    a = _side_stats(x.outer.alpha, x.inner.alpha)
-    b = _side_stats(x.outer.beta, x.inner.beta)
-    if a is None or b is None or a[0] + b[0] != 1:
-        return ZERO
-    if a[0]:
-        return _strip_value(x.outer.alpha, x.inner.alpha, a, 1 if kind == "B" else 0, 1)
-    return _strip_value(x.outer.beta, x.inner.beta, b, 0, -1)
+    return dict(single_strip_removals(x.outer, x.size, kind)).get(x.inner, ZERO)
 
 
 def _strip_value(
     outer: Partition, inner: Partition, stats: tuple, shift: int, coeff: int
 ) -> HalfLaurent:
     """delta_bar of the one border strip outer/inner on one side, whose
-    _side_stats are stats, by the head rule; the side's content of cell
+    walk statistics are stats, by the head rule; the side's content of cell
     (i, j) is coeff * u^(j-i+shift), coeff = +-1.  Row t + 1 is the top
     row, m - 1 is e + 2 * joins, and the monomial is _delta_value's at m = 1."""
     _, joins, e = stats
@@ -287,8 +253,8 @@ def _rim(outer: Partition) -> int:
 
 def _no_2x2_inners(outer: Partition, removed: int) -> list[tuple[Partition, tuple]]:
     """(inner, stats) for each sub-partition inner with |outer/inner| =
-    removed and no 2x2 block, in sorted order, stats being its _side_stats
-    triple.
+    removed and no 2x2 block, in sorted order, stats being (m, sum of r-1,
+    sum of cells-2r+1) over its m components, each of r rows.
 
     Row i keeps v cells with max(outer_{i+1} - 1, 0) <= v (the row
     criterion) and leaves to the rows below at most their rim,
@@ -376,11 +342,11 @@ def single_strip_removals(
     The strip lives entirely in alpha or entirely in beta; these are the
     only removals with delta_bar != 0, and the broken strips whose delta
     does not vanish at u = 1 (a strip of one component has no factor U).
-    A side is walked only when m is within its rim, so no walk comes back
+    A side is walked only when 0 < m <= its rim, so no walk comes back
     empty; its inners with one component are scored by the head rule.
     """
     check_kind(kind)
-    if m == 0:
+    if m <= 0:
         return
     alpha, beta = outer
     if m <= _rim(alpha):

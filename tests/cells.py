@@ -1,11 +1,14 @@
-"""The cell-based strip oracle.
+"""The strip oracles: a row scan and a cell-based strip layer.
 
-A slow, independent version of the strip layer in almostchar.shapes: skew
-shapes as explicit cell sets, their connected components found by search,
-2x2 blocks found by looking, contents read off single cells, and every
-sub-bipartition of a given size enumerated without pruning.  The package
-computes the same things from the rows alone; the tests in test_shapes.py
-and test_hecke.py check that the two agree.
+Two slow, independent versions of the strip layer in almostchar.shapes,
+whose enumerators are the package's one scorer.  The row scan reads a
+skew shape's statistics off one pass over its rows, apart from the
+enumerators' walk, and scores them with the package's closed forms.  The
+cell-based layer goes further: skew shapes as explicit cell sets, their
+connected components found by search, 2x2 blocks found by looking,
+contents read off single cells, and every sub-bipartition of a given size
+enumerated without pruning.  The tests in test_shapes.py and test_hecke.py
+check that the package agrees with both.
 """
 
 from __future__ import annotations
@@ -13,8 +16,70 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from almostchar.halflaurent import HalfLaurent, u_power
-from almostchar.shapes import BiPartition, Partition, SkewBiShape
+from almostchar.halflaurent import ONE, ZERO, HalfLaurent, u_power
+from almostchar.shapes import (
+    BiPartition,
+    Partition,
+    SkewBiShape,
+    _delta_value,
+    _strip_value,
+    check_kind,
+)
+
+# ---------------------------------------------------------------------------
+# the row scan
+# ---------------------------------------------------------------------------
+
+
+def side_stats(outer: Partition, inner: Partition) -> tuple[int, int, int] | None:
+    """(m, sum of (r-1), sum of (cells - 2r + 1)) over the m components of
+    one side outer/inner, each of r rows; None if the side has a 2x2 block.
+
+    One pass over the rows by the row criterion.  A border strip of r rows
+    spans c = cells - r + 1 columns, so the last entry is the sum of
+    (c-1) - (r-1), the exponent of u^(1/2) in delta.  The strip enumerators'
+    walk gathers the same triple row by row.
+    """
+    rows = joins = cells = 0
+    last = len(outer) - 1
+    for i, o in enumerate(outer):
+        left = inner[i] if i < len(inner) else 0
+        if o > left:
+            rows += 1
+            cells += o - left
+        if i < last:
+            shared = outer[i + 1] - left  # columns that rows i and i+1 share
+            if shared > 1:
+                return None
+            if shared == 1:
+                joins += 1
+    return rows - joins, joins, cells - rows - joins
+
+
+def delta_from_rows(x: SkewBiShape) -> HalfLaurent:
+    """delta of any skew shape from the row scans of its two sides."""
+    a = side_stats(x.outer.alpha, x.inner.alpha)
+    b = side_stats(x.outer.beta, x.inner.beta)
+    if a is None or b is None:
+        return ZERO
+    m = a[0] + b[0]
+    if m == 0:
+        return ONE
+    return _delta_value(m, (a[1] + b[1]) & 1, a[2] + b[2])
+
+
+def delta_bar_from_rows(x: SkewBiShape, kind: str) -> HalfLaurent:
+    """delta_bar of any skew shape from the row scans of its two sides,
+    scored by the head rule when the shape is one border strip."""
+    check_kind(kind)
+    a = side_stats(x.outer.alpha, x.inner.alpha)
+    b = side_stats(x.outer.beta, x.inner.beta)
+    if a is None or b is None or a[0] + b[0] != 1:
+        return ZERO
+    if a[0]:
+        return _strip_value(x.outer.alpha, x.inner.alpha, a, 1 if kind == "B" else 0, 1)
+    return _strip_value(x.outer.beta, x.inner.beta, b, 0, -1)
+
 
 # ---------------------------------------------------------------------------
 # cells and strip classification

@@ -393,13 +393,14 @@ def test_family_sums_start_no_thread(monkeypatch):
 
 
 def test_trace_engine_runs_without_the_cell_oracle():
-    # the cell-based strip layer is the tests' oracle (tests/cells.py); the
-    # package defines none of it, imports none of it, and computes the same
-    # reports from cold caches as from warm ones
+    # the row scan and the cell-based strip layer are the tests' oracles
+    # (tests/cells.py); the package defines none of them, imports none of
+    # them, and computes the same reports from cold caches as from warm ones
     oracle = ("skew_cells", "StripComponent", "StripInfo", "_connected_components",
-              "_has_2x2", "strip_classify", "content", "_sub_partitions", "remove_strips")
+              "_has_2x2", "strip_classify", "content", "_sub_partitions", "remove_strips",
+              "side_stats", "delta_from_rows", "delta_bar_from_rows")
     assert all(hasattr(cells, name) for name in oracle)
-    assert [name for name in oracle if hasattr(shapes_module, name)] == []
+    assert [name for name in oracle + ("_side_stats",) if hasattr(shapes_module, name)] == []
 
     for path in Path(shapes_module.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -317,6 +317,23 @@ def test_deep_recursion_exit_three():
     assert "Traceback" not in proc.stderr
 
 
+def test_a_box_of_one_long_column_is_walked_without_deep_recursion():
+    # P(1200, 1) has 1,201 pairs of 1,200 parts in all: a walk that recursed
+    # once per part would pass the interpreter's recursion limit
+    env = dict(os.environ, PYTHONPATH=str(Path(almostchar.__file__).parents[1]))
+    for argv, check in (
+        (["enumerate", "pab", "1200", "1"], lambda out: len(json.loads(out)) == 1201),
+        (["fab", "--a", "1200", "--b", "1", "--cycles", "[1200]"],
+         lambda out: json.loads(out)["value_at_1"] == "0/1"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "almostchar", *argv, "--max-rank", "1200", "--no-timing"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert check(proc.stdout), argv
+
+
 def test_orthogonality_memo_budget_exit_three():
     # the u = 1 recursion is held to --memo-budget like the trace memo
     env = dict(os.environ, PYTHONPATH=str(Path(almostchar.__file__).parents[1]))

@@ -30,13 +30,11 @@ from almostchar.shapes import (
     bipartition,
     bipartitions_of,
     broken_strip_removals,
-    delta,
-    delta_bar,
     partitions_of,
     single_strip_removals,
 )
 
-from cells import remove_strips
+from cells import delta_bar_from_rows, delta_from_rows, remove_strips
 from seminormal import (
     build_b_generators,
     build_q1_generators,
@@ -496,7 +494,7 @@ def test_pruned_chain_sum_equals_the_unpruned_one():
 class SummingContext(MNContext):
     """The chain sum as a plain sum of delta * sub through the public ring
     operations, with the size test up front, over the unpruned removals of
-    tests/cells.py scored by delta and delta_bar: the engine before the memo
+    tests/cells.py scored by its row scan: the engine before the memo
     entries were accumulated in place, apart from the strip enumerators,
     with no Durfee bound, and storing every level."""
 
@@ -518,7 +516,7 @@ class SummingContext(MNContext):
         size, bar_kind = self.steps[k - 1]
         total = ZERO
         for inner, shape in remove_strips(outer, size):
-            factor = delta_bar(shape, bar_kind) if bar_kind else delta(shape)
+            factor = delta_bar_from_rows(shape, bar_kind) if bar_kind else delta_from_rows(shape)
             if factor:
                 total = total + factor * self.chain_sum(inner, k - 1)
         self._memo[key] = total

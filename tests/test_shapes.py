@@ -1,8 +1,9 @@
 """Strip classification, the delta statistics and removal enumeration.
 
-The closed-form delta and delta_bar are checked against cell-based
-versions built on strip_classify, and the pruned enumerations against
-remove_strips; the oracle lives in tests/cells.py.
+delta and delta_bar, which read the pruned enumerations, are checked
+against the row scan and against cell-based versions built on
+strip_classify, and the pruned enumerations against remove_strips scored
+by the row scan; both oracles live in tests/cells.py.
 """
 
 import pytest
@@ -13,9 +14,10 @@ from almostchar.halflaurent import ONE, U, ZERO, half_power, u_power
 from almostchar.shapes import (
     BiPartition,
     SkewBiShape,
+    _box_partitions,
+    _delta_value,
     _no_2x2_inners,
     _rim,
-    _side_stats,
     bipartition,
     bipartitions_of,
     broken_strip_removals,
@@ -32,7 +34,10 @@ from cells import (
     _has_2x2,
     _sub_partitions,
     content,
+    delta_bar_from_rows,
+    delta_from_rows,
     remove_strips,
+    side_stats,
     skew_cells,
     strip_classify,
 )
@@ -172,14 +177,18 @@ def test_delta_bar_examples():
     assert delta_bar(skew(bp((1,), ()), bp((), ())), "D") == ONE
     with pytest.raises(ValueError):
         delta_bar(skew(bp((1,), ()), bp((), ())), "A")
+    # a shape built without skew's check, its inner past its outer, is no strip
+    past = SkewBiShape(bp((1,), ()), bp((2,), ()))
+    assert delta(past) == delta_bar(past, "B") == ZERO
 
 
 @settings(max_examples=300)
 @given(skew_bipartitions())
 def test_closed_forms_match_cells(shape):
-    assert delta(shape) == delta_from_cells(shape)
+    assert delta(shape) == delta_from_rows(shape) == delta_from_cells(shape)
     for kind in ("B", "D"):
-        assert delta_bar(shape, kind) == delta_bar_from_cells(shape, kind)
+        want = delta_bar_from_cells(shape, kind)
+        assert delta_bar(shape, kind) == delta_bar_from_rows(shape, kind) == want
 
 
 def test_closed_forms_match_cells_up_to_rank_7():
@@ -188,9 +197,10 @@ def test_closed_forms_match_cells_up_to_rank_7():
         for outer in bipartitions_of(n):
             for m in range(n + 1):
                 for _, shape in remove_strips(outer, m):
-                    assert delta(shape) == delta_from_cells(shape), shape
+                    assert delta(shape) == delta_from_rows(shape) == delta_from_cells(shape), shape
                     for kind in ("B", "D"):
-                        assert delta_bar(shape, kind) == delta_bar_from_cells(shape, kind), (
+                        want = delta_bar_from_cells(shape, kind)
+                        assert delta_bar(shape, kind) == delta_bar_from_rows(shape, kind) == want, (
                             shape, kind)
                     seen += 1
     assert seen == 4006
@@ -199,7 +209,7 @@ def test_closed_forms_match_cells_up_to_rank_7():
 def test_head_rule_matches_cells_on_every_strip_up_to_rank_12():
     # every one-component strip of every partition of n <= 12, on alpha and
     # on beta, for both kinds: the head rule against the corner rule of the
-    # cell oracle, through delta_bar and through the enumerator's score
+    # cell oracle, through the row scan and through the enumerator's score
     seen = 0
     for n in range(1, 13):
         for p in partitions_of(n):
@@ -209,14 +219,14 @@ def test_head_rule_matches_cells_on_every_strip_up_to_rank_12():
                         for inner, value in single_strip_removals(outer, m, kind):
                             shape = SkewBiShape(outer, inner)
                             want = delta_bar_from_cells(shape, kind)
-                            assert value == delta_bar(shape, kind) == want, (shape, kind)
+                            assert value == delta_bar_from_rows(shape, kind) == want, (shape, kind)
                             seen += 1
     assert seen == 10584
 
 
 def test_no_2x2_inners_match_filtered_sub_partitions():
     # the walk's inners are the filtered sub-partitions in sorted order, and
-    # the statistics it gathers on the way are those of _side_stats
+    # the statistics it gathers on the way are those of the row scan
     for n in range(13):
         for outer in partitions_of(n):
             for r in range(n + 2):
@@ -226,7 +236,7 @@ def test_no_2x2_inners_match_filtered_sub_partitions():
                 )
                 walked = _no_2x2_inners(outer, r)
                 assert tuple(inner for inner, _ in walked) == want, (outer, r)
-                assert all(stats == _side_stats(outer, p) for p, stats in walked), (outer, r)
+                assert all(stats == side_stats(outer, p) for p, stats in walked), (outer, r)
 
 
 def test_every_size_up_to_the_room_occurs():
@@ -288,7 +298,7 @@ def test_pruned_broken_enumeration_matches_filtered_naive(case):
     # in enumeration order, so each memo entry sums as before: by the cells
     # alpha gives up, ascending, then by inner (remove_strips sorts by inner)
     outer, m = case
-    naive = [(inner, delta(shape)) for inner, shape in remove_strips(outer, m)]
+    naive = [(inner, delta_from_rows(shape)) for inner, shape in remove_strips(outer, m)]
     want = [(inner, factor) for inner, factor in naive if factor]
     want.sort(key=lambda pair: sum(outer.alpha) - sum(pair[0].alpha))
     assert list(broken_strip_removals(outer, m)) == want
@@ -299,7 +309,8 @@ def test_pruned_single_strip_enumeration_matches_filtered_naive(case):
     # in enumeration order: strips in alpha before those in beta, then by inner
     outer, m = case
     for kind in ("B", "D"):
-        naive = [(inner, delta_bar(shape, kind)) for inner, shape in remove_strips(outer, m)]
+        naive = [(inner, delta_bar_from_rows(shape, kind))
+                 for inner, shape in remove_strips(outer, m)]
         want = [(inner, factor) for inner, factor in naive if factor]
         want.sort(key=lambda pair: pair[0].alpha == outer.alpha)
         assert list(single_strip_removals(outer, m, kind)) == want, kind
@@ -393,3 +404,32 @@ def test_bipartitions_of_counts(n):
         for k in range(n + 1)
     )
     assert count == expect
+
+
+def _box_partitions_part_by_part(n, rows, cols):
+    """The box walk with one level of recursion per part, the oracle of
+    _box_partitions."""
+    if n == 0:
+        yield ()
+    elif rows:
+        for first in range(min(n, cols), (n - 1) // rows, -1):
+            for rest in _box_partitions_part_by_part(n - first, rows - 1, first):
+                yield (first,) + rest
+
+
+def test_box_partitions_match_the_part_by_part_walk():
+    # the same partitions in the same order, for every n <= 18 and box up to 11 x 11
+    for n in range(19):
+        for rows in range(12):
+            for cols in range(12):
+                want = list(_box_partitions_part_by_part(n, rows, cols))
+                assert list(_box_partitions(n, rows, cols)) == want, (n, rows, cols)
+
+
+def test_delta_value_is_the_ring_product():
+    # the binomial expansion of U^(m-1) against the ring's own power
+    for m in range(1, 13):
+        for e in range(-20, 21):
+            for odd in (0, 1):
+                want = half_power(e, -1 if odd else 1) * U ** (m - 1)
+                assert _delta_value(m, odd, e) == want, (m, odd, e)
