@@ -10,8 +10,8 @@ bipartitions; both routes are implemented and compared in the tests.  Each
 checks its arguments, then the rank, and streams its (coeff, bipartition)
 terms, valid by construction, to hecke._trace_sum, which only sums them.
 
-The checks, each returning a VerificationReport (defined in hecke) that a
-caller can audit from the emitted value alone:
+The checks each return a VerificationReport (defined in hecke), a value
+with no clock (the command line times each call) that a caller can audit:
 
 * verify_nonvanishing: f of the cuspidal symbol at the recipe cycle type
   prop_cycles(kind, d) is a nonzero polynomial ("prop-7.13" for kind B,
@@ -31,7 +31,6 @@ caller can audit from the emitted value alone:
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from operator import mul
 
@@ -40,7 +39,6 @@ from .halflaurent import HalfLaurent, frac_str, hl_exact_div
 from .hecke import (
     MNContext,
     VerificationReport,
-    _elapsed_ms,
     _trace_sum,
     br_from_cycles,
     mn_trace,
@@ -207,7 +205,6 @@ _D_TERMINAL_NOTE = (
 
 
 def verify_nonvanishing(kind: str, d: int, config: Config = NO_LIMITS) -> VerificationReport:
-    t0 = time.monotonic()
     a, b = _cuspidal_box(kind, d)
     config.check_rank(a * b)  # before the recipe, which grows with d
     cycles = prop_cycles(kind, d)
@@ -224,7 +221,6 @@ def verify_nonvanishing(kind: str, d: int, config: Config = NO_LIMITS) -> Verifi
             "value_at_1": frac_str(value.eval_one()),
         },
         notes=(_D_TERMINAL_NOTE,) if kind == "D" else (),
-        ms=_elapsed_ms(t0),
     )
 
 
@@ -236,7 +232,6 @@ def recursion_check(a: int, b: int, cycles, config: Config = NO_LIMITS) -> Verif
     element for the shrunken box.  Verdict "inconclusive" when the
     shrunken-box value is identically zero (nothing to divide by).
     """
-    t0 = time.monotonic()
     if check_int("a", a) < 4 or check_int("b", b) < 4:
         raise ValueError("recursion needs a, b >= 4")
     cyc = br_from_cycles("B", cycles).cycles
@@ -275,7 +270,7 @@ def recursion_check(a: int, b: int, cycles, config: Config = NO_LIMITS) -> Verif
             fields["h"] = h.to_json_obj()
             fields["h_at_1"] = frac_str(h.eval_one())
             verdict = "pass" if (not h.is_zero() and h.eval_one() == 0) else "fail"
-    return VerificationReport("lemma-7.12", verdict, fields, notes, ms=_elapsed_ms(t0))
+    return VerificationReport("lemma-7.12", verdict, fields, notes)
 
 
 def _family_decompositions(n: int, kind: str, config: Config = NO_LIMITS):
@@ -293,7 +288,6 @@ def _family_decompositions(n: int, kind: str, config: Config = NO_LIMITS):
 def involution_check(n: int, kind: str, config: Config = NO_LIMITS) -> VerificationReport:
     """Squares every non-degenerate family's pairing matrix 2^(-f) S up to
     rank n, as the integer identity S^2 = 4^f I on the symmetric sign matrix S."""
-    t0 = time.monotonic()
     checked = 0
     failures = []
     for r, decs in _family_decompositions(n, kind, config):
@@ -310,14 +304,12 @@ def involution_check(n: int, kind: str, config: Config = NO_LIMITS) -> Verificat
         claim="fourier-involution",
         verdict="pass" if not failures else "fail",
         fields={"kind": kind, "n": n, "families": checked, "failures": failures},
-        ms=_elapsed_ms(t0),
     )
 
 
 def m2_check(n: int, kind: str, config: Config = NO_LIMITS) -> VerificationReport:
     """Pairing against m2 multiplicities sums to 1, family by family, up to
     rank n: the integer sum of sign * m2 over the family equals 2^f."""
-    t0 = time.monotonic()
     checked = 0
     failures = []
     for r, decs in _family_decompositions(n, kind, config):
@@ -335,7 +327,6 @@ def m2_check(n: int, kind: str, config: Config = NO_LIMITS) -> VerificationRepor
         claim="m2-sum",
         verdict="pass" if not failures else "fail",
         fields={"kind": kind, "n": n, "symbols": checked, "failures": failures},
-        ms=_elapsed_ms(t0),
     )
 
 
@@ -343,7 +334,6 @@ def d_swap_diagnostic(n: int, config: Config = NO_LIMITS) -> VerificationReport:
     """Compares kind D traces for the two component orders of each
     bipartition over every admissible cycle list of total n.  Reports
     asymmetries without treating them as failures."""
-    t0 = time.monotonic()
     if check_int("n", n) < 0:
         raise ValueError("rank must be nonnegative")
     config.check_rank(n)
@@ -376,5 +366,4 @@ def d_swap_diagnostic(n: int, config: Config = NO_LIMITS) -> VerificationReport:
         verdict="pass",
         fields={"kind": "D", "n": n, "pairs": pairs, "asymmetries": asymmetries},
         notes=notes,
-        ms=_elapsed_ms(t0),
     )

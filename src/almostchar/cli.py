@@ -5,12 +5,14 @@ input has one spelling: a symbol is --S/--T, a family --Z1/--Z2, a box
 the positionals A B.  Exit codes: 0 success (and verification passed),
 1 a verification ran and did not pass, 2 invalid input (argparse's usage
 error included), 3 a resource guard tripped (raise --max-rank /
---memo-budget to proceed).  With --no-timing the bytes are identical
+--memo-budget to proceed).  Reports carry no clock: this module times
+each check it runs and ends its document in "ms", the milliseconds the
+check took, unless --no-timing is given, which makes the bytes identical
 across runs.  Traces are evaluated in one thread; --workers is accepted
 and has no effect.
 
 Start-up loads only what the command runs: this module needs argparse,
-json and config, and each handler imports the engine names it calls.
+json, time and config, and each handler imports the engine names it calls.
 --help loads nothing more; symbol, family list / pairing-matrix and
 enumerate commands load symbols (with shapes and halflaurent); mn eval
 and verify orthogonality load hecke (with shapes and halflaurent) but
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .config import Config, ResourceGuardError
 
@@ -128,13 +131,20 @@ def _cmd_family_pairing_matrix(args, config):
     return 0, doc
 
 
-def _report_doc(args, report):
-    return (0 if report.passed else 1), report.to_json_obj(include_timing=not args.no_timing)
+def _report_doc(args, check, *params):
+    """check(*params) as a document, ending in the call's "ms" unless --no-timing."""
+    t0 = time.monotonic()
+    report = check(*params)
+    ms = int((time.monotonic() - t0) * 1000)
+    doc = report.to_json_obj()
+    if not args.no_timing:
+        doc["ms"] = ms
+    return (0 if report.passed else 1), doc
 
 
 def _cmd_family_involution_check(args, config):
     from . import almost
-    return _report_doc(args, almost.involution_check(args.n, args.kind, config))
+    return _report_doc(args, almost.involution_check, args.n, args.kind, config)
 
 
 def _cmd_mn_eval(args, config):
@@ -169,29 +179,27 @@ def _cmd_fab(args, config):
 def _cmd_verify_nonvanishing(kind):
     def handler(args, config):
         from . import almost
-        return _report_doc(args, almost.verify_nonvanishing(kind, args.d, config))
+        return _report_doc(args, almost.verify_nonvanishing, kind, args.d, config)
 
     return handler
 
 
 def _cmd_verify_recursion(args, config):
     from . import almost
-    report = almost.recursion_check(args.a, args.b, _parse_cycles(args.cycles), config)
-    return _report_doc(args, report)
+    cycles = _parse_cycles(args.cycles)
+    return _report_doc(args, almost.recursion_check, args.a, args.b, cycles, config)
 
 
 def _cmd_verify_orthogonality(args, config):
     from .hecke import orthogonality_check
-    return _report_doc(args, orthogonality_check(args.n, config))
+    return _report_doc(args, orthogonality_check, args.n, config)
 
 
 def _cmd_verify_m2(args, config):
     from . import almost
     kinds = ("B", "D") if args.kind == "both" else (args.kind,)
-    reports = [almost.m2_check(args.n, k, config) for k in kinds]
-    code = 0 if all(r.passed for r in reports) else 1
-    docs = [r.to_json_obj(include_timing=not args.no_timing) for r in reports]
-    return code, (docs[0] if len(docs) == 1 else docs)
+    codes, docs = zip(*(_report_doc(args, almost.m2_check, args.n, k, config) for k in kinds))
+    return max(codes), (docs[0] if len(docs) == 1 else list(docs))
 
 
 def _cmd_enumerate_pab(args, config):
@@ -204,7 +212,7 @@ def _cmd_enumerate_pab(args, config):
 
 def _cmd_diagnose_d_swap(args, config):
     from . import almost
-    return _report_doc(args, almost.d_swap_diagnostic(args.n, config))
+    return _report_doc(args, almost.d_swap_diagnostic, args.n, config)
 
 
 # ---------------------------------------------------------------------------

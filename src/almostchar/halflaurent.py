@@ -67,7 +67,7 @@ class HalfLaurent:
                 continue
             s = acc.get(k, 0) + c
             if s:
-                acc[k] = s
+                acc[k] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 acc.pop(k, None)
         self._terms = acc
@@ -81,7 +81,7 @@ class HalfLaurent:
         for k, c in other._terms.items():
             s = merged.get(k, 0) + c
             if s:
-                merged[k] = s
+                merged[k] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 merged.pop(k, None)
         return _from_clean(merged)
@@ -105,7 +105,7 @@ class HalfLaurent:
                 k = k1 + k2
                 s = prod.get(k, 0) + c1 * c2
                 if s:
-                    prod[k] = s
+                    prod[k] = s if type(s) is int or s.denominator != 1 else s.numerator
                 else:
                     prod.pop(k, None)
         return _from_clean(prod)

@@ -413,10 +413,7 @@ def test_trace_engine_runs_without_the_cell_oracle():
             assert not any(m.split(".")[-1] == "cells" for m in modules), (path.name, modules)
 
     def reports():
-        return [trace_table(4)] + [
-            report.to_json_obj(include_timing=False)
-            for report in (orthogonality_check(4), recursion_check(5, 4, [8, 12]))
-        ]
+        return [trace_table(4), orthogonality_check(4), recursion_check(5, 4, [8, 12])]
 
     want = reports()
     shapes_module._delta_value.cache_clear()
@@ -644,7 +641,7 @@ def test_every_recipe_past_its_seed_ends_in_the_terminal_pair_of_its_box():
 
 def test_verify_nonvanishing_b1():
     report = verify_nonvanishing("B", 1)
-    obj = report.to_json_obj(include_timing=False)
+    obj = report.to_json_obj()
     assert obj["claim"] == "prop-7.13"
     assert obj["cycles"] == [-2]
     assert obj["value"] == {"terms": [{"halfexp": 2, "num": 1, "den": 1}]}
@@ -655,7 +652,7 @@ def test_verify_nonvanishing_b1():
 
 def test_verify_nonvanishing_d1():
     report = verify_nonvanishing("D", 1)
-    obj = report.to_json_obj(include_timing=False)
+    obj = report.to_json_obj()
     assert obj["claim"] == "prop-7.14"
     assert obj["cycles"] == [-1, -3]
     assert obj["value"] == {"terms": [{"halfexp": 3, "num": 1, "den": 1}]}
@@ -736,7 +733,8 @@ def test_orthogonality_memo_budget_counts_the_report_tables():
 def test_orthogonality_check_detects_corruption(monkeypatch):
     # negative control: poison a single u = 1 sign (the 2-strip off the row
     # (2), which the trace of [2] at the class (2,) reads) and the check
-    # must fail
+    # must fail; the u = 1 sums are integers, so each mismatch prints its
+    # sum and its centralizer order as plain integers
     table = hecke_module._removal_table_at_one
 
     def crooked(outer, size, bar_kind):
@@ -750,6 +748,8 @@ def test_orthogonality_check_detects_corruption(monkeypatch):
     report = orthogonality_check(2)
     assert report.verdict == "fail"
     assert report.fields["mismatches"]
+    for m in report.fields["mismatches"]:
+        assert str(int(m["got"])) == m["got"] and str(int(m["expected"])) == m["expected"], m
 
 
 def test_involution_and_m2_checks(monkeypatch):
@@ -877,25 +877,26 @@ def test_a_count_refuses_a_bool_or_a_float(name, call, bad):
 
 
 def test_report_record():
+    # a report is a value: no clock, so its fields are all it carries
+    assert VerificationReport._fields == ("claim", "verdict", "fields", "notes")
     fields = {"kind": "B", "n": 2}
-    report = VerificationReport(claim="c", verdict="pass", fields=fields, ms=12)
+    report = VerificationReport(claim="c", verdict="pass", fields=fields)
     assert report.passed and report.notes == ()
-    assert list(report.to_json_obj()) == ["claim", "kind", "n", "verdict", "ms"]
-    assert report.to_json_obj(include_timing=False) == {
-        "claim": "c", "kind": "B", "n": 2, "verdict": "pass"}
+    assert report.to_json_obj() == {"claim": "c", "kind": "B", "n": 2, "verdict": "pass"}
+    assert list(report.to_json_obj()) == ["claim", "kind", "n", "verdict"]
     noted = VerificationReport(claim="c", verdict="fail", fields=fields, notes=("x",))
     assert not noted.passed
-    assert list(noted.to_json_obj()) == ["claim", "kind", "n", "verdict", "notes", "ms"]
+    assert list(noted.to_json_obj()) == ["claim", "kind", "n", "verdict", "notes"]
     assert noted.to_json_obj() == {
-        "claim": "c", "kind": "B", "n": 2, "verdict": "fail", "notes": ["x"], "ms": 0}
-    assert list(noted.to_json_obj(include_timing=False))[-1] == "notes"
+        "claim": "c", "kind": "B", "n": 2, "verdict": "fail", "notes": ["x"]}
     assert not VerificationReport(claim="c", verdict="inconclusive", fields={}).passed
 
 
 def test_report_json_shape():
+    # two runs of one check give equal records and equal documents
     report = verify_nonvanishing("B", 1)
-    with_timing = report.to_json_obj()
-    without = report.to_json_obj(include_timing=False)
-    assert "ms" in with_timing and "ms" not in without
-    assert list(without)[0] == "claim"
-    assert without["verdict"] in ("pass", "fail", "inconclusive")
+    assert report == verify_nonvanishing("B", 1)
+    doc = report.to_json_obj()
+    assert "ms" not in doc
+    assert list(doc)[0] == "claim"
+    assert doc["verdict"] in ("pass", "fail", "inconclusive")

@@ -125,6 +125,37 @@ def test_verify_recursion_exit_one(capsys):
     assert json.loads(out)["verdict"] == "fail"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "prop713", "--d", "1"],
+        ["verify", "prop714", "--d", "1"],
+        ["verify", "recursion", "--a", "5", "--b", "4", "--cycles", "[8,12]"],
+        ["verify", "orthogonality", "--n", "3"],
+        ["verify", "m2", "--n", "4", "--kind", "both"],
+        ["family", "involution-check", "--kind", "B", "--n", "4"],
+        ["diagnose", "d-swap", "--n", "3"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_a_timed_report_is_the_untimed_one_with_ms_last(capsys, argv):
+    # the command line times each check it runs: every report document
+    # (both of them for m2 --kind both) gains its own "ms" as its last key,
+    # and nothing else about the output or the exit code changes
+    code, out, _ = run(capsys, argv)
+    untimed_code, untimed_out, _ = run(capsys, argv + ["--no-timing"])
+    assert code == untimed_code
+    docs, untimed = json.loads(out), json.loads(untimed_out)
+    if argv[1] == "m2":
+        assert len(docs) == len(untimed) == 2
+    else:
+        docs, untimed = [docs], [untimed]
+    for doc, want in zip(docs, untimed):
+        *items, (last, ms) = doc.items()
+        assert last == "ms" and type(ms) is int and ms >= 0
+        assert items == list(want.items())
+
+
 def test_invalid_input_exit_two(capsys):
     code, _, err = run(
         capsys,

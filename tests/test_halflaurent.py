@@ -118,6 +118,26 @@ def test_json_encoding_is_sorted_and_reduced():
     }
 
 
+halves = st.lists(
+    st.tuples(
+        st.integers(min_value=-2, max_value=2),
+        st.builds(Fraction, st.integers(min_value=-4, max_value=4), st.integers(1, 4)),
+    ),
+    max_size=6,
+)
+
+
+@given(halves, halves)
+def test_an_integral_coefficient_is_an_int(a, b):
+    # fractions that sum (or multiply) to an integer leave an int behind:
+    # in the constructor, where two terms share an exponent, and in the
+    # sum, the difference and the product
+    x, y = HalfLaurent(a), HalfLaurent(b)
+    for value in (x, y, x + y, x - y, x * y):
+        for c in value.terms.values():
+            assert type(c) is int or c.denominator != 1, (value, c)
+
+
 def test_zero_terms_are_dropped():
     assert HalfLaurent([(2, 1), (2, -1)]) == ZERO
     assert not HalfLaurent([(5, 0)])
