@@ -3,10 +3,11 @@
 Every character value in this package lives in the ring Q[u^(1/2), u^(-1/2)].
 To avoid a fractional exponent type, exponents are stored as plain integers
 counting u^(1/2) units: exponent 2 means u, exponent -1 means u^(-1/2).
-Coefficient policy: an integral coefficient is a Python int, so Hecke traces
-(in Z[u^(1/2), u^(-1/2)]) never touch Fraction; a Fraction appears only where
-a division creates one, such as exact division or a pairing's 2^(-f).
-No floating point anywhere.
+Coefficient rule: no zero term is stored, and an integral coefficient is a
+Python int, so Hecke traces (in Z[u^(1/2), u^(-1/2)]) never touch Fraction; a
+Fraction appears only where a division creates one, such as exact division or
+a pairing's 2^(-f).  The constructor is the one place that applies the rule:
+sums and products build through it.  No floating point anywhere.
 
 The bar involution swaps u^(1/2) with -u^(-1/2); on the stored encoding it
 sends the term (k, c) to (-k, c * (-1)**k).
@@ -42,9 +43,9 @@ class HalfLaurent:
 
     Internally a dict {halfexp: coefficient} with no zero coefficients.  The
     constructor takes int exponents and int or Fraction coefficients only
-    (anything else, bool and float included, is a TypeError), stores
-    integral values as int, and int coefficients stay int under the ring
-    operations; other values are exact Fractions.  A scalar multiplies
+    (anything else, bool and float included, is a TypeError) and applies the
+    coefficient rule; sum and product build through it, so int coefficients
+    stay int and other values are exact Fractions.  A scalar multiplies
     (an int or a Fraction, not a bool) but never adds: x + 1 and 1 + x are
     TypeErrors, and x + 1 * ONE is the sum.
     Instances hash and compare by that dict, regardless of its order, so
@@ -59,13 +60,9 @@ class HalfLaurent:
         for k, c in items:
             if type(k) is not int:
                 raise TypeError(f"exponent must be an int, got {k!r}")
-            if type(c) is not int:
-                if not isinstance(c, Fraction):
-                    raise TypeError(f"coefficient must be an int or a Fraction, got {c!r}")
-                c = c.numerator if c.denominator == 1 else c
-            if c == 0:
-                continue
-            s = acc.get(k, 0) + c
+            if type(c) is not int and not isinstance(c, Fraction):
+                raise TypeError(f"coefficient must be an int or a Fraction, got {c!r}")
+            s = acc.get(k, 0) + c  # the coefficient rule, for every term
             if s:
                 acc[k] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
@@ -77,14 +74,7 @@ class HalfLaurent:
     def __add__(self, other: "HalfLaurent") -> "HalfLaurent":
         if type(other) is not HalfLaurent:  # no scalar sum, in either order
             return NotImplemented
-        merged = dict(self._terms)
-        for k, c in other._terms.items():
-            s = merged.get(k, 0) + c
-            if s:
-                merged[k] = s if type(s) is int or s.denominator != 1 else s.numerator
-            else:
-                merged.pop(k, None)
-        return _from_clean(merged)
+        return HalfLaurent([*self._terms.items(), *other._terms.items()])
 
     def __neg__(self) -> "HalfLaurent":
         return _from_clean({k: -c for k, c in self._terms.items()})
@@ -93,22 +83,13 @@ class HalfLaurent:
         return self + (-other)
 
     def __mul__(self, other) -> "HalfLaurent":
-        if type(other) is not HalfLaurent:
-            if type(other) is bool or not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            if other == 0:
-                return ZERO
-            return HalfLaurent({k: c * other for k, c in self._terms.items()})
-        prod: dict[int, int | Fraction] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                k = k1 + k2
-                s = prod.get(k, 0) + c1 * c2
-                if s:
-                    prod[k] = s if type(s) is int or s.denominator != 1 else s.numerator
-                else:
-                    prod.pop(k, None)
-        return _from_clean(prod)
+        if type(other) is HalfLaurent:
+            pairs = other._terms.items()
+        elif type(other) is bool or not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        else:  # a scalar is the constant polynomial
+            pairs = ((0, other),)
+        return HalfLaurent((k1 + k2, c1 * c2) for k1, c1 in self._terms.items() for k2, c2 in pairs)
 
     __rmul__ = __mul__
 

@@ -411,6 +411,8 @@ def class_reps(n: int) -> list:
 def valid_d_cycle_lists(n: int) -> list:
     """Every kind D admissible signed cycle list of total n: the plain
     partitions, plus [-1, -c, plain...] for each 1 <= c <= n-1."""
+    if check_int("n", n) < 0:
+        raise ValueError("n must be >= 0")
     out = [tuple(reversed(p)) for p in partitions_of(n)]
     for c in range(1, n):
         for rest in partitions_of(n - 1 - c):
@@ -421,7 +423,8 @@ def valid_d_cycle_lists(n: int) -> list:
 def centralizer_order_B(cycles) -> int:
     """Centralizer order of a signed cycle type in the signed permutation
     group: prod over lengths i of (2i)^m * m! separately for plain and
-    barred multiplicities m."""
+    barred multiplicities m; the lengths are checked as br_from_cycles checks them."""
+    cycles = br_from_cycles("B", cycles).cycles
     order = 1
     for counter in (Counter(c for c in cycles if c > 0), Counter(-c for c in cycles if c < 0)):
         for length, mult in counter.items():

@@ -170,6 +170,14 @@ def content(side: str, cell: tuple[int, int], kind: str) -> HalfLaurent:
     return u_power(j - i, -1)
 
 
+def hooks(p: Partition) -> tuple[int, ...]:
+    """The diagonal hook lengths h_ii = p_i + p'_i - 2i + 1 of p, largest
+    first, with the column lengths p' counted off the rows."""
+    durfee = sum(1 for i, part in enumerate(p, start=1) if part >= i)
+    cols = [sum(1 for part in p if part >= j) for j in range(1, durfee + 1)]
+    return tuple(p[i - 1] + cols[i - 1] - 2 * i + 1 for i in range(1, durfee + 1))
+
+
 # ---------------------------------------------------------------------------
 # removal enumeration
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 independently built seminormal matrix model (tests/seminormal.py)."""
 
 import functools
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,24 @@ def test_centralizer_order_examples():
     assert centralizer_order_B([1, 1]) == 8
     assert centralizer_order_B([-2]) == 4
     assert centralizer_order_B([1]) == 2
+
+
+def test_valid_d_cycle_lists_refuses_a_rank_that_is_not_a_count():
+    assert valid_d_cycle_lists(0) == [()]
+    for n in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            valid_d_cycle_lists(n)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        valid_d_cycle_lists(-1)
+
+
+def test_centralizer_order_refuses_a_cycle_length_br_from_cycles_refuses():
+    for cycles in ([0, 2], [0]):
+        with pytest.raises(ValueError, match="cycle lengths must be nonzero"):
+            centralizer_order_B(cycles)
+    for cycles in ([True], [1, 2.0], ["1"]):
+        with pytest.raises(ValueError, match="cycle lengths must be integers"):
+            centralizer_order_B(cycles)
 
 
 def test_centralizer_orders_satisfy_class_equation():
@@ -666,6 +686,26 @@ def test_chain_at_one_is_the_trace_at_one():
                 assert got == mn_trace(br.kind, lam, br, context=context).eval_one(), (br, lam)
                 traces += 1
     assert traces == 8_206
+
+
+def test_traces_at_one_match_the_beta_set_rule():
+    # the hyperoctahedral Murnaghan-Nakayama rule on beta-sets in
+    # bench/oracles.py, which imports nothing from almostchar; loaded from
+    # its file, so sys.path is left as it was
+    path = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    traces = 0
+    for n in range(1, 7):
+        lams = list(bipartitions_of(n))
+        tables = {}
+        for cycles in class_reps(n):
+            got = _traces_at_one(br_from_cycles("B", cycles), lams, tables, NO_LIMITS)
+            for lam, value in zip(lams, got, strict=True):
+                assert value == oracles.char_at_1(lam.alpha, lam.beta, cycles), (cycles, lam)
+                traces += 1
+    assert traces == 6_050
 
 
 # -- certification against the seminormal matrix model -------------------------

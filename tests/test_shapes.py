@@ -31,11 +31,13 @@ from almostchar.shapes import (
 )
 
 from cells import (
+    _connected_components,
     _has_2x2,
     _sub_partitions,
     content,
     delta_bar_from_rows,
     delta_from_rows,
+    hooks,
     remove_strips,
     side_stats,
     skew_cells,
@@ -375,6 +377,35 @@ def test_delta_nonzero_iff_broken_border_strip():
             for _, shape in remove_strips(outer, m):
                 info = strip_classify(shape)
                 assert (not delta(shape).is_zero()) == info.is_broken_border_strip
+
+
+def test_hooks_examples():
+    assert hooks(()) == ()
+    assert hooks((5,)) == (5,)
+    assert hooks((3, 2, 1)) == (5, 1)
+    assert hooks((4, 4, 4, 1)) == (7, 4, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=12).flatmap(
+    lambda n: st.sampled_from(list(partitions_of(n)))), st.data())
+def test_rim_hook_removal_sizes_are_dominated_by_the_diagonal_hooks(p, data):
+    # empty p by random rim hooks, read off the cell layer: an inner whose
+    # skew cells form one component with no 2x2 block
+    bound, sizes, outer = hooks(p), [], p
+    while outer:
+        rims = []
+        for r in range(1, sum(outer) + 1):
+            for inner in _sub_partitions(outer, r):
+                cells = skew_cells(outer, inner)
+                if len(_connected_components(cells)) == 1 and not _has_2x2(frozenset(cells)):
+                    rims.append((r, inner))
+        r, outer = data.draw(st.sampled_from(rims))
+        sizes.append(r)
+    sizes.sort(reverse=True)
+    assert sum(sizes) == sum(bound) == sum(p)
+    for i in range(1, len(sizes) + 1):
+        assert sum(sizes[:i]) <= sum(bound[:i]), (p, sizes, bound)
 
 
 def test_skew_cells_are_row_major():
